@@ -162,8 +162,8 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 }
 
 // consume reads one response to completion: 2xx decodes into out,
-// anything else into an *APIError (tolerating both the v1 envelope and
-// the legacy flat form).
+// anything else into an *APIError (the v1 envelope, or the raw body
+// when a proxy in between answered instead).
 func consume(resp *http.Response, out any) (*APIError, error) {
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))

@@ -81,24 +81,16 @@ func (e *APIError) Error() string {
 }
 
 // decodeAPIError parses a failure body: the v1 envelope
-// {"error": {code, message, details}}, falling back to the legacy flat
-// {"error": "message"} and then to the raw body so nothing is lost.
+// {"error": {code, message, details}}, falling back to the raw body so
+// nothing is lost.
 func decodeAPIError(status int, body []byte) *APIError {
 	var envelope struct {
-		Error json.RawMessage `json:"error"`
+		Error ErrorInfo `json:"error"`
 	}
 	out := &APIError{StatusCode: status}
-	if err := json.Unmarshal(body, &envelope); err == nil && len(envelope.Error) > 0 {
-		var info ErrorInfo
-		if err := json.Unmarshal(envelope.Error, &info); err == nil && info.Message != "" {
-			out.Code, out.Message, out.Details = info.Code, info.Message, info.Details
-			return out
-		}
-		var flat string
-		if err := json.Unmarshal(envelope.Error, &flat); err == nil && flat != "" {
-			out.Message = flat
-			return out
-		}
+	if err := json.Unmarshal(body, &envelope); err == nil && envelope.Error.Message != "" {
+		out.Code, out.Message, out.Details = envelope.Error.Code, envelope.Error.Message, envelope.Error.Details
+		return out
 	}
 	out.Message = strings.TrimSpace(string(body))
 	if out.Message == "" {

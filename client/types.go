@@ -176,10 +176,10 @@ type LevelsResult struct {
 func (r *LevelsResult) version() int64 { return r.Version }
 
 // CommunitiesOptions selects one page of a community listing. Top and
-// Limit are mutually exclusive: Top is the legacy "n largest" cap
-// (no cursor), Limit the page size of cursor pagination. All zero
-// requests the server's default page; use CommunitiesAll to walk the
-// full listing.
+// Limit are mutually exclusive: Top asks for the n largest communities
+// in one response (no cursor), Limit sets the page size of cursor
+// pagination. All zero requests the server's default page; use
+// CommunitiesAll to walk the full listing.
 type CommunitiesOptions struct {
 	Top    int
 	Limit  int

@@ -28,7 +28,7 @@ func TestDebugStats(t *testing.T) {
 	defer apiTS.Close()
 	// Two identical queries: one miss, one hit.
 	for i := 0; i < 2; i++ {
-		resp, err := http.Get(apiTS.URL + "/levels?dataset=d")
+		resp, err := http.Get(apiTS.URL + "/v1/datasets/d/levels")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func Serve(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: api.Handler()}
+	srv := newHTTPServer(*addr, api.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(stdout, "bitserved listening on %s\n", *addr)
@@ -143,7 +143,7 @@ func Serve(args []string, stdout, stderr io.Writer) error {
 	// counters are never exposed on the serving address by accident.
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: debugMux(api, eng, time.Now())}
+		debugSrv = newHTTPServer(*debugAddr, debugMux(api, eng, time.Now()))
 		go func() {
 			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(stdout, "debug listener: %v\n", err)
@@ -185,6 +185,23 @@ func Serve(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "bitserved stopped")
 		return err
 	}
+}
+
+// Slow-client bounds shared by the API and debug listeners: a client
+// must finish sending its request headers within readHeaderTimeout,
+// and a keep-alive connection idle for idleTimeout is closed, so
+// stalled or abandoned connections cannot pile up. Bodies are not
+// time-bounded: a large inline edge list may upload slowly, and
+// maxBodyBytes in the server already caps its size.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds one bitserved listener with the slow-client
+// bounds applied.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // debugMux assembles the -debug-addr handler: the standard pprof

@@ -290,33 +290,3 @@ func jobProgress(j *job) core.ProgressFunc {
 	}
 	return j.observe
 }
-
-// Tip returns the tip decomposition of one layer of a dataset's
-// current snapshot (engine-level convenience over View.Tip).
-func (e *Engine) Tip(name string, layer Layer) (*tip.Result, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return nil, err
-	}
-	return vw.Tip(layer)
-}
-
-// Theta returns the tip number of one layer-local vertex of a
-// dataset's current snapshot.
-func (e *Engine) Theta(name string, layer Layer, vertex int) (int64, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return 0, err
-	}
-	return vw.Theta(layer, vertex)
-}
-
-// Bicliques returns the maximal-biclique enumeration of a dataset's
-// current snapshot at the given thresholds.
-func (e *Engine) Bicliques(name string, minUpper, minLower int) (*biclique.Result, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return nil, err
-	}
-	return vw.Bicliques(minUpper, minLower)
-}

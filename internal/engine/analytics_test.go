@@ -86,24 +86,24 @@ func TestEagerTipOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lazy analytics off, no eager tip: queries are rejected.
-	if _, err := e.Tip("fig1", UpperLayer); !errors.Is(err, ErrTipNotComputed) {
+	if _, err := mustView(t, e, "fig1").Tip(UpperLayer); !errors.Is(err, ErrTipNotComputed) {
 		t.Fatalf("tip with lazy off: %v, want ErrTipNotComputed", err)
 	}
-	if _, err := e.Theta("fig1", UpperLayer, 0); !errors.Is(err, ErrTipNotComputed) {
+	if _, err := mustView(t, e, "fig1").Theta(UpperLayer, 0); !errors.Is(err, ErrTipNotComputed) {
 		t.Fatalf("theta with lazy off: %v, want ErrTipNotComputed", err)
 	}
 	// Decomposing with Options.Tip materialises both layers eagerly.
 	if err := e.Decompose(context.Background(), "fig1", Options{Tip: true}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Tip("fig1", UpperLayer)
+	res, err := mustView(t, e, "fig1").Tip(UpperLayer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := tip.Decompose(testgraphs.Figure1(), true); !reflect.DeepEqual(res, want) {
 		t.Fatalf("eager tip differs from direct decomposition")
 	}
-	if _, err := e.Tip("fig1", LowerLayer); err != nil {
+	if _, err := mustView(t, e, "fig1").Tip(LowerLayer); err != nil {
 		t.Fatalf("lower layer not materialised eagerly: %v", err)
 	}
 	// A mutation installs a fresh snapshot without tip state: rejected
@@ -111,12 +111,12 @@ func TestEagerTipOption(t *testing.T) {
 	if _, err := e.Mutate(context.Background(), "fig1", MutateRequest{Insert: [][2]int{{0, 4}}, Wait: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Tip("fig1", UpperLayer); !errors.Is(err, ErrTipNotComputed) {
+	if _, err := mustView(t, e, "fig1").Tip(UpperLayer); !errors.Is(err, ErrTipNotComputed) {
 		t.Fatalf("tip after mutation with lazy off: %v, want ErrTipNotComputed", err)
 	}
 	// Re-enabling lazy analytics restores on-demand computation.
 	e.SetLazyTip(true)
-	if _, err := e.Tip("fig1", UpperLayer); err != nil {
+	if _, err := mustView(t, e, "fig1").Tip(UpperLayer); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +128,7 @@ func TestTheta(t *testing.T) {
 	}
 	// Figure 1 tip numbers (see tip package tests): θ(u0..u3) = 2,2,2,1.
 	for u, want := range []int64{2, 2, 2, 1} {
-		got, err := e.Theta("fig1", UpperLayer, u)
+		got, err := mustView(t, e, "fig1").Theta(UpperLayer, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,10 +136,10 @@ func TestTheta(t *testing.T) {
 			t.Errorf("θ(u%d) = %d, want %d", u, got, want)
 		}
 	}
-	if _, err := e.Theta("fig1", UpperLayer, 99); !errors.Is(err, ErrNoVertex) {
+	if _, err := mustView(t, e, "fig1").Theta(UpperLayer, 99); !errors.Is(err, ErrNoVertex) {
 		t.Fatalf("out-of-range vertex: %v, want ErrNoVertex", err)
 	}
-	if _, err := e.Theta("fig1", LowerLayer, -1); !errors.Is(err, ErrNoVertex) {
+	if _, err := mustView(t, e, "fig1").Theta(LowerLayer, -1); !errors.Is(err, ErrNoVertex) {
 		t.Fatalf("negative vertex: %v, want ErrNoVertex", err)
 	}
 }
@@ -154,7 +154,7 @@ func TestMemoryStatsTipBytes(t *testing.T) {
 		t.Fatalf("TipBytes before any tip query = %d, want 0", info.Mem.TipBytes)
 	}
 	base := info.Mem.TotalBytes
-	res, err := e.Tip("fig1", UpperLayer)
+	res, err := mustView(t, e, "fig1").Tip(UpperLayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +169,10 @@ func TestMemoryStatsTipBytes(t *testing.T) {
 
 func TestAnalyticsJobsVisible(t *testing.T) {
 	e := readyEngine(t, "fig1")
-	if _, err := e.Tip("fig1", UpperLayer); err != nil {
+	if _, err := mustView(t, e, "fig1").Tip(UpperLayer); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Bicliques("fig1", 2, 2); err != nil {
+	if _, err := mustView(t, e, "fig1").Bicliques(2, 2); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := e.Jobs("fig1")
@@ -237,7 +237,7 @@ func TestBicliquesMemoisedAndLimited(t *testing.T) {
 	if _, err := e.Mutate(context.Background(), "g", MutateRequest{Insert: [][2]int{{0, 4}}, Wait: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Bicliques("g", 1, 2); err != nil {
+	if _, err := mustView(t, e, "g").Bicliques(1, 2); err != nil {
 		t.Fatalf("fresh snapshot still rejects: %v", err)
 	}
 }
@@ -295,7 +295,7 @@ func TestTipSurvivesDecomposition(t *testing.T) {
 	e.SetLazyTip(false) // proves the state was materialised eagerly
 	defer e.SetLazyTip(true)
 	for _, layer := range []Layer{UpperLayer, LowerLayer} {
-		if _, err := e.Tip("g", layer); err != nil {
+		if _, err := mustView(t, e, "g").Tip(layer); err != nil {
 			t.Fatalf("layer %v: %v", layer, err)
 		}
 	}

@@ -347,17 +347,19 @@ func (e *Engine) recoverDataset(ctx context.Context, ds *dataset) {
 	}
 	done := ds.done
 	ds.mu.Unlock()
-	close(done)
 	if err != nil {
 		log.Printf("engine: recovery of %q failed: %v", ds.name, err)
 		// An unrecoverable dataset serves nothing; drop the placeholder
 		// so the name reads as absent rather than permanently failed.
+		// This happens before done closes: a waiter that wakes must
+		// already find the name gone.
 		e.mu.Lock()
 		if cur, ok := e.datasets[ds.name]; ok && cur == ds {
 			delete(e.datasets, ds.name)
 		}
 		e.mu.Unlock()
 	}
+	close(done)
 }
 
 // recoverLocked is the body of recoverDataset, run under the dataset's

@@ -33,7 +33,7 @@ func dumpState(t *testing.T, e *Engine, name string) (int64, [][3]int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges, err := e.KBitrussEdges(name, 0)
+	edges, err := mustView(t, e, name).KBitrussEdges(0)
 	if err != nil {
 		t.Fatal(err)
 	}

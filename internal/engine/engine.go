@@ -8,8 +8,10 @@
 // and top-k community queries — from immutable snapshots.
 //
 // Every dataset serves queries from its current snapshot (graph +
-// decomposition + community index, stamped with the graph version);
-// mutations are staged into a pending log and applied in batches by a
+// decomposition + community index, stamped with the graph version).
+// Engine.View hands out a View onto that snapshot; View is the only
+// query surface, and every answer of one View comes from one version.
+// Mutations are staged into a pending log and applied in batches by a
 // single background applier per dataset, which builds the next
 // snapshot off to the side and swaps it in atomically. Queries issued
 // while version N+1 is being maintained keep answering from version N
@@ -1264,13 +1266,6 @@ func (v *View) Levels() ([]int64, error) {
 	return idx.Levels(), nil
 }
 
-// TopCommunities returns the n largest communities of the k-bitruss
-// (all of them when n is negative) together with the total component
-// count, both from this view's single snapshot.
-func (v *View) TopCommunities(k int64, n int) ([]Community, int, error) {
-	return v.CommunitiesPage(k, 0, n)
-}
-
 // CommunitiesPage returns the communities of the k-bitruss ranked
 // largest-first, restricted to the half-open rank window
 // [offset, offset+limit) — the paging primitive behind the v1
@@ -1289,16 +1284,6 @@ func (v *View) CommunitiesPage(k int64, offset, limit int) ([]Community, int, er
 		out[i] = toCommunity(v.snap.g, &cs[i])
 	}
 	return out, idx.NumCommunities(k), nil
-}
-
-// NumCommunities returns the number of connected components of the
-// k-bitruss without materialising them.
-func (v *View) NumCommunities(k int64) (int, error) {
-	_, idx, err := v.ready()
-	if err != nil {
-		return 0, err
-	}
-	return idx.NumCommunities(k), nil
 }
 
 // CommunityOf returns the community of the k-bitruss containing the
@@ -1448,83 +1433,3 @@ const (
 	UpperLayer Layer = iota
 	LowerLayer
 )
-
-// Phi returns the bitruss number of the edge between upper-layer u and
-// lower-layer v of a decomposed dataset.
-func (e *Engine) Phi(name string, u, v int) (int64, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return 0, err
-	}
-	return vw.Phi(u, v)
-}
-
-// Support returns the butterfly support of the edge (u, v) — available
-// as soon as the graph is loaded, before any decomposition.
-func (e *Engine) Support(name string, u, v int) (int64, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return 0, err
-	}
-	return vw.Support(u, v)
-}
-
-// Communities returns the connected components of the dataset's
-// k-bitruss, largest first, answered from the cached index.
-func (e *Engine) Communities(name string, k int64) ([]Community, error) {
-	cs, _, err := e.TopCommunities(name, k, -1)
-	return cs, err
-}
-
-// TopCommunities returns the n largest communities of the k-bitruss
-// (all of them when n is negative) together with the total component
-// count, both taken from one snapshot so they cannot disagree under a
-// concurrent re-decomposition or mutation.
-func (e *Engine) TopCommunities(name string, k int64, n int) ([]Community, int, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	return vw.TopCommunities(k, n)
-}
-
-// NumCommunities returns the number of connected components of the
-// dataset's k-bitruss without materialising them.
-func (e *Engine) NumCommunities(name string, k int64) (int, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return 0, err
-	}
-	return vw.NumCommunities(k)
-}
-
-// CommunityOf returns the community of the k-bitruss containing the
-// given layer-local vertex, or ok=false when the vertex has no edge at
-// that level.
-func (e *Engine) CommunityOf(name string, layer Layer, vertex int, k int64) (Community, bool, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return Community{}, false, err
-	}
-	return vw.CommunityOf(layer, vertex, k)
-}
-
-// Levels returns the distinct bitruss numbers of a decomposed dataset,
-// ascending.
-func (e *Engine) Levels(name string) ([]int64, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return nil, err
-	}
-	return vw.Levels()
-}
-
-// KBitrussEdges returns the edges of the dataset's k-bitruss as
-// layer-local (upper, lower, phi) triples, ascending by edge id.
-func (e *Engine) KBitrussEdges(name string, k int64) ([][3]int64, error) {
-	vw, err := e.View(name)
-	if err != nil {
-		return nil, err
-	}
-	return vw.KBitrussEdges(k)
-}

@@ -26,6 +26,17 @@ func readyEngine(t *testing.T, name string) *Engine {
 	return e
 }
 
+// mustView returns the dataset's current View, failing the test when
+// the engine has no servable dataset of that name.
+func mustView(t testing.TB, e *Engine, name string) *View {
+	t.Helper()
+	vw, err := e.View(name)
+	if err != nil {
+		t.Fatalf("View(%q): %v", name, err)
+	}
+	return vw
+}
+
 func TestRegisterAndLifecycle(t *testing.T) {
 	e := New()
 	g := testgraphs.Figure1()
@@ -35,11 +46,11 @@ func TestRegisterAndLifecycle(t *testing.T) {
 	if err := e.Register("fig1", g); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate register: %v, want ErrExists", err)
 	}
-	if _, err := e.Phi("fig1", 0, 0); !errors.Is(err, ErrNotDecomposed) {
+	if _, err := mustView(t, e, "fig1").Phi(0, 0); !errors.Is(err, ErrNotDecomposed) {
 		t.Fatalf("phi before decompose: %v, want ErrNotDecomposed", err)
 	}
 	// Support works pre-decomposition.
-	if s, err := e.Support("fig1", 2, 1); err != nil || s != 3 {
+	if s, err := mustView(t, e, "fig1").Support(2, 1); err != nil || s != 3 {
 		t.Fatalf("Support(2,1) = %d, %v; want 3", s, err)
 	}
 	if err := e.Decompose(context.Background(), "fig1", Options{}); err != nil {
@@ -52,7 +63,7 @@ func TestRegisterAndLifecycle(t *testing.T) {
 	if info.Status != StatusReady || info.MaxPhi != 2 || info.Edges != 11 {
 		t.Fatalf("info = %+v", info)
 	}
-	if _, err := e.Phi("nope", 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := e.View("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown dataset: %v, want ErrNotFound", err)
 	}
 	if err := e.Remove("fig1"); err != nil {
@@ -64,9 +75,9 @@ func TestRegisterAndLifecycle(t *testing.T) {
 }
 
 func TestQueriesMatchGroundTruth(t *testing.T) {
-	e := readyEngine(t, "fig1")
+	vw := mustView(t, readyEngine(t, "fig1"), "fig1")
 	for pair, want := range testgraphs.Figure1Bitruss() {
-		got, err := e.Phi("fig1", pair[0], pair[1])
+		got, err := vw.Phi(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +85,11 @@ func TestQueriesMatchGroundTruth(t *testing.T) {
 			t.Errorf("Phi(%v) = %d, want %d", pair, got, want)
 		}
 	}
-	if _, err := e.Phi("fig1", 0, 4); !errors.Is(err, ErrNoEdge) {
+	if _, err := vw.Phi(0, 4); !errors.Is(err, ErrNoEdge) {
 		t.Fatalf("absent edge: %v, want ErrNoEdge", err)
 	}
 
-	levels, err := e.Levels("fig1")
+	levels, err := vw.Levels()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +98,7 @@ func TestQueriesMatchGroundTruth(t *testing.T) {
 	}
 
 	// H2 of Figure 4(c): one community {u0,u1,u2} x {v0,v1}.
-	cs, err := e.Communities("fig1", 2)
+	cs, _, err := vw.CommunitiesPage(2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +108,7 @@ func TestQueriesMatchGroundTruth(t *testing.T) {
 		t.Fatalf("communities(2) = %+v", cs)
 	}
 
-	c, ok, err := e.CommunityOf("fig1", UpperLayer, 1, 2)
+	c, ok, err := vw.CommunityOf(UpperLayer, 1, 2)
 	if err != nil || !ok {
 		t.Fatalf("CommunityOf(u1, 2): ok=%v err=%v", ok, err)
 	}
@@ -105,15 +116,15 @@ func TestQueriesMatchGroundTruth(t *testing.T) {
 		t.Fatalf("CommunityOf(u1, 2) = %+v, want %+v", c, cs[0])
 	}
 	// u3 has no edge of bitruss >= 2.
-	if _, ok, err := e.CommunityOf("fig1", UpperLayer, 3, 2); err != nil || ok {
+	if _, ok, err := vw.CommunityOf(UpperLayer, 3, 2); err != nil || ok {
 		t.Fatalf("CommunityOf(u3, 2): ok=%v err=%v, want absent", ok, err)
 	}
 	// v0 via the lower layer.
-	if c, ok, _ := e.CommunityOf("fig1", LowerLayer, 0, 2); !ok || !reflect.DeepEqual(c, cs[0]) {
+	if c, ok, _ := vw.CommunityOf(LowerLayer, 0, 2); !ok || !reflect.DeepEqual(c, cs[0]) {
 		t.Fatalf("CommunityOf(v0, 2) = %+v ok=%v", c, ok)
 	}
 
-	edges, err := e.KBitrussEdges("fig1", 2)
+	edges, err := vw.KBitrussEdges(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +146,15 @@ func TestTopCommunities(t *testing.T) {
 	if err := e.Decompose(context.Background(), "chain", Options{}); err != nil {
 		t.Fatal(err)
 	}
-	all, err := e.Communities("chain", 3)
+	vw := mustView(t, e, "chain")
+	all, _, err := vw.CommunitiesPage(3, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 3 {
 		t.Fatalf("communities = %d, want 3", len(all))
 	}
-	top, total, err := e.TopCommunities("chain", 3, 2)
+	top, total, err := vw.CommunitiesPage(3, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +220,7 @@ func TestFailedRedecomposeKeepsServing(t *testing.T) {
 	if info.Algo != core.BiTBUPlusPlus.String() {
 		t.Errorf("algo after failed re-run = %q, want %q", info.Algo, core.BiTBUPlusPlus)
 	}
-	if phi, err := e.Phi("fig1", 0, 0); err != nil || phi != 2 {
+	if phi, err := mustView(t, e, "fig1").Phi(0, 0); err != nil || phi != 2 {
 		t.Fatalf("Phi after failed re-run = %d, %v", phi, err)
 	}
 	// A successful re-run clears the recorded error.
@@ -239,26 +251,36 @@ func TestConcurrentQueriesDuringDecomposition(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				served, err := e.View("served")
+				if err != nil {
+					t.Errorf("View: %v", err)
+					return
+				}
 				switch i % 5 {
 				case 0:
-					if phi, err := e.Phi("served", 0, 0); err != nil || phi != 2 {
+					if phi, err := served.Phi(0, 0); err != nil || phi != 2 {
 						t.Errorf("Phi = %d, %v", phi, err)
 						return
 					}
 				case 1:
-					if cs, err := e.Communities("served", int64(i%3)); err != nil || len(cs) == 0 {
+					if cs, _, err := served.CommunitiesPage(int64(i%3), 0, -1); err != nil || len(cs) == 0 {
 						t.Errorf("Communities: %v", err)
 						return
 					}
 				case 2:
-					if _, _, err := e.CommunityOf("served", LowerLayer, i%5, 1); err != nil {
+					if _, _, err := served.CommunityOf(LowerLayer, i%5, 1); err != nil {
 						t.Errorf("CommunityOf: %v", err)
 						return
 					}
 				case 3:
 					// Queries against the in-flight dataset must fail
 					// cleanly or succeed once it is ready — never race.
-					if _, err := e.Phi("background", 0, 0); err != nil &&
+					bg, err := e.View("background")
+					if err != nil {
+						t.Errorf("View: %v", err)
+						return
+					}
+					if _, err := bg.Phi(0, 0); err != nil &&
 						!errors.Is(err, ErrNotDecomposed) && !errors.Is(err, ErrNoEdge) {
 						t.Errorf("background Phi: %v", err)
 						return
@@ -304,9 +326,10 @@ func TestEngineMatchesDirectDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vw := mustView(t, e, "g")
 	for _, k := range community.Levels(res.Phi) {
 		want := community.Communities(g, res.Phi, k)
-		got, err := e.Communities("g", k)
+		got, _, err := vw.CommunitiesPage(k, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

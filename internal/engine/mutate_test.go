@@ -42,10 +42,11 @@ func TestMutateBasic(t *testing.T) {
 	if info.Version != 1 || info.Edges != g.NumEdges() {
 		t.Fatalf("info %+v, want %d edges at version 1", info, g.NumEdges())
 	}
-	if _, err := e.Phi("d", u0, v0); !errors.Is(err, ErrNoEdge) {
+	vw := mustView(t, e, "d")
+	if _, err := vw.Phi(u0, v0); !errors.Is(err, ErrNoEdge) {
 		t.Fatalf("deleted edge still resolves: %v", err)
 	}
-	if _, err := e.Phi("d", 21, 3); err != nil {
+	if _, err := vw.Phi(21, 3); err != nil {
 		t.Fatalf("inserted edge not queryable: %v", err)
 	}
 	log, err := e.MutationLog("d")
@@ -54,10 +55,6 @@ func TestMutateBasic(t *testing.T) {
 	}
 
 	// The maintained snapshot must equal a fresh decomposition.
-	vw, err := e.View("d")
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := core.Decompose(vw.snap.g, core.Options{Algorithm: core.BiTBUPlusPlus})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +243,7 @@ func TestMutateUnderLoad(t *testing.T) {
 				// Communities at a populated level: sizes must sum to the
 				// number of edges at/above that level in this version.
 				k := tr.levels[rng.Intn(len(tr.levels))]
-				cs, total, err := vw.TopCommunities(k, -1)
+				cs, total, err := vw.CommunitiesPage(k, 0, -1)
 				if err != nil {
 					t.Error(err)
 					return
@@ -326,7 +323,7 @@ func TestMutateUnderLoadParallel(t *testing.T) {
 					t.Errorf("version %d: levels %v err %v", vw.Version(), levels, err)
 					return
 				}
-				if _, _, err := vw.TopCommunities(levels[rng.Intn(len(levels))], 5); err != nil {
+				if _, _, err := vw.CommunitiesPage(levels[rng.Intn(len(levels))], 0, 5); err != nil {
 					t.Error(err)
 					return
 				}

@@ -90,7 +90,7 @@ func TestCachedHandlerAllocBudget(t *testing.T) {
 	eng := allocEngine(t)
 	srv := New(eng)
 	w := &discardWriter{h: make(http.Header, 4)}
-	rc := reqCtx{name: "d", v1: true}
+	rc := reqCtx{name: "d"}
 	req := httptest.NewRequest(http.MethodGet, "/v1/datasets/d/levels", nil)
 	srv.handleLevels(w, req, rc)
 	if w.code != http.StatusOK {
@@ -118,7 +118,6 @@ func TestServeHTTPAllocBudget(t *testing.T) {
 	e := edges[0]
 
 	for _, path := range []string{
-		"/levels?dataset=d",
 		"/v1/datasets/d/levels",
 		fmt.Sprintf("/v1/datasets/d/phi?u=%d&v=%d", e[0], e[1]),
 	} {

@@ -144,25 +144,25 @@ func queryThreshold(q url.Values, name string, def int) (int, error) {
 func (s *Server) handleTip(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	layer, layerName, err := parseLayer(rc.q.Get("layer"))
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vertex := int64(-1)
 	hasVertex := rc.q.Get("v") != ""
 	if hasVertex {
 		if vertex, err = queryInt(rc.q, "v"); err != nil {
-			s.writeError(w, rc, err)
+			writeError(w, err)
 			return
 		}
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, tipKey(*kb, layer, vertex), func() (any, error) {
+	s.respond(w, r, vw, tipKey(*kb, layer, vertex), func() (any, error) {
 		res, err := vw.Tip(layer)
 		if err != nil {
 			return nil, err
@@ -190,22 +190,22 @@ func (s *Server) handleTip(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 func (s *Server) handleTheta(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	layer, layerName, err := parseLayer(rc.q.Get("layer"))
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vertex, err := queryInt(rc.q, "vertex")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, thetaKey(*kb, layer, vertex), func() (any, error) {
+	s.respond(w, r, vw, thetaKey(*kb, layer, vertex), func() (any, error) {
 		theta, err := vw.Theta(layer, int(vertex))
 		if err != nil {
 			return nil, err
@@ -223,19 +223,19 @@ func (s *Server) handleTheta(w http.ResponseWriter, r *http.Request, rc reqCtx) 
 func (s *Server) handleBicliques(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	minUpper, err := queryThreshold(rc.q, "min_upper", 1)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	minLower, err := queryThreshold(rc.q, "min_lower", 1)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	size, offset := defaultBicliquesLimit, 0
 	if limitRaw := rc.q.Get("limit"); limitRaw != "" {
 		n, err := strconv.Atoi(limitRaw)
 		if err != nil || n <= 0 {
-			s.writeError(w, rc, badRequestf("limit: must be a positive integer"))
+			writeError(w, badRequestf("limit: must be a positive integer"))
 			return
 		}
 		size = n
@@ -243,29 +243,29 @@ func (s *Server) handleBicliques(w http.ResponseWriter, r *http.Request, rc reqC
 	if cursorRaw := rc.q.Get("cursor"); cursorRaw != "" {
 		mu, ml, off, err := decodeBicliqueCursor(cursorRaw)
 		if err != nil {
-			s.writeError(w, rc, err)
+			writeError(w, err)
 			return
 		}
 		// Explicit thresholds must agree with the cursor's (absent ones
 		// are inherited from it — a walk only needs to repeat the cursor).
 		if rc.q.Get("min_upper") != "" && mu != minUpper {
-			s.writeError(w, rc, badRequestf("cursor: token is for min_upper=%d, request says min_upper=%d", mu, minUpper))
+			writeError(w, badRequestf("cursor: token is for min_upper=%d, request says min_upper=%d", mu, minUpper))
 			return
 		}
 		if rc.q.Get("min_lower") != "" && ml != minLower {
-			s.writeError(w, rc, badRequestf("cursor: token is for min_lower=%d, request says min_lower=%d", ml, minLower))
+			writeError(w, badRequestf("cursor: token is for min_lower=%d, request says min_lower=%d", ml, minLower))
 			return
 		}
 		minUpper, minLower, offset = mu, ml, off
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, bicliquesKey(*kb, minUpper, minLower, size, offset), func() (any, error) {
+	s.respond(w, r, vw, bicliquesKey(*kb, minUpper, minLower, size, offset), func() (any, error) {
 		page, total, err := vw.BicliquesPage(minUpper, minLower, offset, size)
 		if err != nil {
 			return nil, err

@@ -78,7 +78,11 @@ func TestBicliquesCursorWalk(t *testing.T) {
 	if err := eng.Register("d", gen.Uniform(18, 18, 110, 6)); err != nil {
 		t.Fatal(err)
 	}
-	full, err := eng.Bicliques("d", 2, 2)
+	vw, err := eng.View("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := vw.Bicliques(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -465,31 +465,31 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request, rc req
 			batchReqPool.Put(req)
 		}
 	}()
-	if err := decodeBody(w, r, rc, req); err != nil {
-		s.writeError(w, rc, err)
+	if err := decodeBody(w, r, req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.writeError(w, rc, badRequestf("queries must not be empty"))
+		writeError(w, badRequestf("queries must not be empty"))
 		return
 	}
 	if len(req.Queries) > maxBatchQueries {
-		s.writeError(w, rc, badRequestf("batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatchQueries))
+		writeError(w, badRequestf("batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatchQueries))
 		return
 	}
 	ops, err := parseBatchOps(req.Queries)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, batchKey(*kb, ops), func() (any, error) {
+	s.respond(w, r, vw, batchKey(*kb, ops), func() (any, error) {
 		engOps := make([]engine.BatchOp, len(ops))
 		for i := range ops {
 			engOps[i] = ops[i].BatchOp

@@ -52,31 +52,31 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // queryPaths builds the endpoint sweep for the current graph state:
 // hits and deliberate misses across every cached endpoint.
 func queryPaths(levels []int64, edges [][2]int64, rng *rand.Rand) []string {
-	paths := []string{"/levels?dataset=d"}
+	paths := []string{"/v1/datasets/d/levels"}
 	ks := []int64{0}
 	if n := len(levels); n > 0 {
 		ks = append(ks, levels[n/2], levels[n-1], levels[n-1]+1)
 	}
 	for _, k := range ks {
 		paths = append(paths,
-			fmt.Sprintf("/communities?dataset=d&k=%d&top=10", k),
-			fmt.Sprintf("/communities?dataset=d&k=%d", k),
-			fmt.Sprintf("/kbitruss?dataset=d&k=%d", k),
+			fmt.Sprintf("/v1/datasets/d/communities?k=%d&top=10", k),
+			fmt.Sprintf("/v1/datasets/d/communities?k=%d", k),
+			fmt.Sprintf("/v1/datasets/d/kbitruss?k=%d", k),
 		)
 	}
 	for i := 0; i < 3 && len(edges) > 0; i++ {
 		e := edges[rng.Intn(len(edges))]
 		paths = append(paths,
-			fmt.Sprintf("/phi?dataset=d&u=%d&v=%d", e[0], e[1]),
-			fmt.Sprintf("/support?dataset=d&u=%d&v=%d", e[0], e[1]),
-			fmt.Sprintf("/community_of?dataset=d&layer=upper&vertex=%d&k=%d", e[0], ks[len(ks)-1]),
-			fmt.Sprintf("/community_of?dataset=d&layer=lower&vertex=%d&k=%d", e[1], ks[0]),
+			fmt.Sprintf("/v1/datasets/d/phi?u=%d&v=%d", e[0], e[1]),
+			fmt.Sprintf("/v1/datasets/d/support?u=%d&v=%d", e[0], e[1]),
+			fmt.Sprintf("/v1/datasets/d/community_of?layer=upper&vertex=%d&k=%d", e[0], ks[len(ks)-1]),
+			fmt.Sprintf("/v1/datasets/d/community_of?layer=lower&vertex=%d&k=%d", e[1], ks[0]),
 		)
 	}
 	// Absent edge and vertex: the 404 paths must agree byte for byte too.
 	paths = append(paths,
-		"/phi?dataset=d&u=39&v=1000",
-		"/community_of?dataset=d&layer=upper&vertex=39&k=999999",
+		"/v1/datasets/d/phi?u=39&v=1000",
+		"/v1/datasets/d/community_of?layer=upper&vertex=39&k=999999",
 	)
 	return paths
 }
@@ -84,7 +84,7 @@ func queryPaths(levels []int64, edges [][2]int64, rng *rand.Rand) []string {
 // currentEdges reads the full edge list (k=0 bitruss) off the server.
 func currentEdges(t *testing.T, ts *httptest.Server) [][2]int64 {
 	t.Helper()
-	status, body := get(t, ts, "/kbitruss?dataset=d&k=0")
+	status, body := get(t, ts, "/v1/datasets/d/kbitruss?k=0")
 	if status != http.StatusOK {
 		t.Fatalf("kbitruss bootstrap: status %d: %s", status, body)
 	}
@@ -103,7 +103,7 @@ func currentEdges(t *testing.T, ts *httptest.Server) [][2]int64 {
 
 func currentLevels(t *testing.T, ts *httptest.Server) []int64 {
 	t.Helper()
-	status, body := get(t, ts, "/levels?dataset=d")
+	status, body := get(t, ts, "/v1/datasets/d/levels")
 	if status != http.StatusOK {
 		t.Fatalf("levels bootstrap: status %d: %s", status, body)
 	}
@@ -137,9 +137,9 @@ func TestCacheCorrectnessUnderMutation(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			last := int64(-1)
 			paths := []string{
-				"/levels?dataset=d",
-				"/communities?dataset=d&k=2&top=10",
-				"/kbitruss?dataset=d&k=1",
+				"/v1/datasets/d/levels",
+				"/v1/datasets/d/communities?k=2&top=10",
+				"/v1/datasets/d/kbitruss?k=1",
 			}
 			for {
 				select {
@@ -192,7 +192,7 @@ func TestCacheCorrectnessUnderMutation(t *testing.T) {
 			reqBody.Insert = append(reqBody.Insert, [2]int{rng.Intn(40), rng.Intn(40)})
 		}
 		buf, _ := json.Marshal(reqBody)
-		resp, err := cached.Client().Post(cached.URL+"/datasets/d/edges", "application/json", bytes.NewReader(buf))
+		resp, err := cached.Client().Post(cached.URL+"/v1/datasets/d/edges", "application/json", bytes.NewReader(buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestCachedHitIsServedFromCache(t *testing.T) {
 	defer ts.Close()
 
 	get := func() []byte {
-		resp, err := ts.Client().Get(ts.URL + "/communities?dataset=d&k=1&top=5")
+		resp, err := ts.Client().Get(ts.URL + "/v1/datasets/d/communities?k=1&top=5")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestPrewarmOnPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, body := get(t, ts, "/levels?dataset=d")
+	status, body := get(t, ts, "/v1/datasets/d/levels")
 	if status != http.StatusOK {
 		t.Fatalf("levels: %d: %s", status, body)
 	}
@@ -307,7 +307,7 @@ func TestPrewarmOnPublish(t *testing.T) {
 	if err := json.Unmarshal(body, &lv); err != nil || len(lv.Levels) == 0 {
 		t.Fatalf("levels body %s (%v)", body, err)
 	}
-	status, _ = get(t, ts, fmt.Sprintf("/communities?dataset=d&k=%d&top=10", lv.Levels[0]))
+	status, _ = get(t, ts, fmt.Sprintf("/v1/datasets/d/communities?k=%d&top=10", lv.Levels[0]))
 	if status != http.StatusOK {
 		t.Fatalf("communities: %d", status)
 	}
@@ -315,8 +315,9 @@ func TestPrewarmOnPublish(t *testing.T) {
 	if st.CacheHits != 2 || st.CacheMisses != 0 {
 		t.Fatalf("first /communities request: %+v, want a pre-warmed hit", st)
 	}
-	// The default shape (no top parameter, keyed top=-1) is warmed too.
-	status, _ = get(t, ts, fmt.Sprintf("/communities?dataset=d&k=%d", lv.Levels[0]))
+	// The default shape (no top or limit: the first
+	// defaultCommunitiesLimit-long page) is warmed too.
+	status, _ = get(t, ts, fmt.Sprintf("/v1/datasets/d/communities?k=%d", lv.Levels[0]))
 	if status != http.StatusOK {
 		t.Fatalf("communities (no top): %d", status)
 	}
@@ -326,8 +327,8 @@ func TestPrewarmOnPublish(t *testing.T) {
 	}
 }
 
-// TestCommunityOfNotFoundBody pins the 404 wire format: the body must
-// stay exactly the historical message (clients match these strings).
+// TestCommunityOfNotFoundBody pins the 404 wire format: the envelope's
+// message must stay exactly the historical string (clients match it).
 func TestCommunityOfNotFoundBody(t *testing.T) {
 	eng := engine.New()
 	if err := eng.Register("d", gen.Uniform(25, 25, 160, 5)); err != nil {
@@ -338,17 +339,15 @@ func TestCommunityOfNotFoundBody(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(eng).Handler())
 	defer ts.Close()
-	status, body := get(t, ts, "/community_of?dataset=d&layer=upper&vertex=3&k=999999")
+	status, body := get(t, ts, "/v1/datasets/d/community_of?layer=upper&vertex=3&k=999999")
 	if status != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", status)
 	}
-	var eb struct {
-		Error string `json:"error"`
+	p := decodeEnvelope(t, body)
+	if p.Code != CodeNotFound {
+		t.Fatalf("error code %q, want %q", p.Code, CodeNotFound)
 	}
-	if err := json.Unmarshal(body, &eb); err != nil {
-		t.Fatal(err)
-	}
-	if want := "vertex 3 has no community at level 999999"; eb.Error != want {
-		t.Fatalf("error body %q, want %q", eb.Error, want)
+	if want := "vertex 3 has no community at level 999999"; p.Message != want {
+		t.Fatalf("error message %q, want %q", p.Message, want)
 	}
 }

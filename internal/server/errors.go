@@ -15,8 +15,6 @@ import (
 //
 // with a stable code string mapped from the engine error (or the HTTP
 // layer's own failure class) and the HTTP status implied by the code.
-// Legacy root routes keep their historical flat {"error": "message"}
-// body with the same message string, so old clients keep matching.
 
 // Stable v1 error codes. These strings are part of the public API
 // contract (the conformance test pins them); add, never change.
@@ -51,11 +49,6 @@ type errorPayload struct {
 // v1ErrorBody is the v1 error envelope.
 type v1ErrorBody struct {
 	Error errorPayload `json:"error"`
-}
-
-// errorBody is the legacy flat error form served by the root aliases.
-type errorBody struct {
-	Error string `json:"error"`
 }
 
 var (
@@ -150,20 +143,14 @@ func errorDetails(err error) map[string]any {
 // to back off further on repeated rejections.
 const retryAfterSeconds = 1
 
-// writeError renders err in the request's error style: the structured
-// v1 envelope on /v1 routes, the historical flat body on legacy
-// aliases. The message string is identical in both. Retryable
-// rejections additionally carry a Retry-After header.
-func (s *Server) writeError(w http.ResponseWriter, rc reqCtx, err error) {
+// writeError renders err as the error envelope. Retryable rejections
+// additionally carry a Retry-After header.
+func writeError(w http.ResponseWriter, err error) {
 	code, status := classify(err)
 	if status == http.StatusServiceUnavailable || code == CodeDecomposeBusy {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
-	if rc.v1 {
-		writeV1Error(w, status, errorPayload{Code: code, Message: err.Error(), Details: errorDetails(err)})
-		return
-	}
-	writeRawError(w, status, err.Error())
+	writeV1Error(w, status, errorPayload{Code: code, Message: err.Error(), Details: errorDetails(err)})
 }
 
 // writeV1Error emits a structured envelope through the pooled
@@ -172,21 +159,6 @@ func writeV1Error(w http.ResponseWriter, status int, p errorPayload) {
 	eb := getEnc()
 	defer putEnc(eb)
 	_ = eb.enc.Encode(v1ErrorBody{Error: p})
-	setJSONContentType(w)
-	w.WriteHeader(status)
-	_, _ = w.Write(eb.buf.Bytes())
-}
-
-// writeRawError emits the legacy flat error body through the pooled
-// non-escaping encoder — the same escaping rules as every success
-// response, so error strings keep their exact historical bytes
-// (clients match them). Encoding errorBody cannot fail (one plain
-// string field), so this is safe to call from writeJSON's own failure
-// path.
-func writeRawError(w http.ResponseWriter, status int, msg string) {
-	eb := getEnc()
-	defer putEnc(eb)
-	_ = eb.enc.Encode(errorBody{Error: msg})
 	setJSONContentType(w)
 	w.WriteHeader(status)
 	_, _ = w.Write(eb.buf.Bytes())

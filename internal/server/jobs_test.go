@@ -113,7 +113,7 @@ func TestJobsEndpoint(t *testing.T) {
 
 // TestJobsEndpointErrors covers the failure surface: unknown job ids
 // are not_found in the v1 envelope, malformed ids are bad_request, and
-// the jobs routes have no legacy alias.
+// the jobs routes exist only under /v1.
 func TestJobsEndpointErrors(t *testing.T) {
 	eng := engine.New()
 	if err := eng.Register("d", gen.Uniform(10, 10, 30, 1)); err != nil {
@@ -143,8 +143,8 @@ func TestJobsEndpointErrors(t *testing.T) {
 		t.Fatalf("malformed id code %q, want bad_request", env.Code)
 	}
 
-	// v1-only: the legacy surface never grew a jobs route.
+	// v1-only: an unversioned jobs path is not a route.
 	if st, _, _ := doRaw(t, http.MethodGet, ts.URL+"/datasets/d/jobs", "", ""); st != http.StatusNotFound {
-		t.Fatalf("legacy jobs path: status %d, want 404", st)
+		t.Fatalf("unversioned jobs path: status %d, want 404", st)
 	}
 }

@@ -58,10 +58,10 @@ func benchPaths(b *testing.B, eng *engine.Engine) map[string]string {
 	}
 	e := edges[0]
 	return map[string]string{
-		"levels":      "/levels?dataset=bench",
-		"communities": fmt.Sprintf("/communities?dataset=bench&k=%d&top=10", k),
-		"phi":         fmt.Sprintf("/phi?dataset=bench&u=%d&v=%d", e[0], e[1]),
-		"kbitruss":    fmt.Sprintf("/kbitruss?dataset=bench&k=%d", k),
+		"levels":      "/v1/datasets/bench/levels",
+		"communities": fmt.Sprintf("/v1/datasets/bench/communities?k=%d&top=10", k),
+		"phi":         fmt.Sprintf("/v1/datasets/bench/phi?u=%d&v=%d", e[0], e[1]),
+		"kbitruss":    fmt.Sprintf("/v1/datasets/bench/kbitruss?k=%d", k),
 	}
 }
 

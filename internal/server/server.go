@@ -35,17 +35,12 @@
 //	POST   /v1/datasets/{name}/query                  batch of φ/support/community-of lookups,
 //	                                                  answered from one snapshot
 //
-// v1 failures are machine-readable envelopes {"error": {code, message,
+// Failures are machine-readable envelopes {"error": {code, message,
 // details}} with stable code strings (see errors.go); non-JSON bodies
-// on v1 POST endpoints are rejected with 415 (the legacy aliases stay
-// lenient), wrong-method hits answer 405 with an Allow header derived
-// from the route table.
-//
-// Every pre-v1 root route (/datasets, /decompose, /phi, /support,
-// /levels, /communities, /community_of, /kbitruss, with the dataset as
-// a query parameter) remains as a thin deprecated alias onto the same
-// handlers — byte-identical success payloads, flat {"error": "msg"}
-// error bodies — registered from the same route table.
+// on POST endpoints are rejected with 415, wrong-method hits answer 405
+// with an Allow header derived from the route table, and any path
+// outside the table (the pre-v1 root routes included) answers 404
+// route_not_found.
 //
 // Every query response carries the snapshot version it was answered
 // from; all fields of one response are consistent with that single
@@ -78,10 +73,8 @@ import (
 // hostile request must not be able to exhaust server memory.
 const maxBodyBytes = 64 << 20
 
-// defaultCommunitiesLimit caps an unqualified v1 /communities listing.
-// The legacy alias keeps the historical unbounded behaviour
-// (deprecated); v1 clients page with limit/cursor or opt into the full
-// listing explicitly via top.
+// defaultCommunitiesLimit caps an unqualified /communities listing;
+// clients page with limit/cursor or ask for a larger window via top.
 const defaultCommunitiesLimit = 100
 
 // Server wraps an engine with an http.Handler.
@@ -120,10 +113,10 @@ func WithoutQueryCache() Option {
 
 // WithPrewarm tunes snapshot-publication pre-warming: for up to
 // `levels` populated bitruss levels, the community listings (both the
-// top=`top` page and the unpaged legacy default) plus /levels itself
-// are encoded into the fresh snapshot's cache before it starts taking
-// traffic. The cache's byte bound still applies — oversized listings
-// are served but not retained. levels <= 0 disables pre-warming.
+// top=`top` page and the default page) plus /levels itself are encoded
+// into the fresh snapshot's cache before it starts taking traffic. The
+// cache's byte bound still applies — oversized listings are served but
+// not retained. levels <= 0 disables pre-warming.
 func WithPrewarm(levels, top int) Option {
 	return func(s *Server) { s.prewarmLevels, s.prewarmTop = levels, top }
 }
@@ -135,104 +128,62 @@ func WithErrorLog(l *log.Logger) Option {
 }
 
 // reqCtx carries per-request routing facts resolved by the dispatch
-// layer: which dataset the request addresses, whether it arrived on
-// the v1 surface (selects the error envelope), and the query values
+// layer: which dataset the request addresses and the query values
 // parsed exactly once for GET routes.
 type reqCtx struct {
 	name string
-	v1   bool
 	q    url.Values
 }
 
-// nameSource says where a route's legacy alias finds the dataset name.
-// v1 routes always carry it in the path.
-type nameSource int
-
-const (
-	nameNone  nameSource = iota // route is not dataset-scoped
-	namePath                    // legacy path {name} segment
-	nameQuery                   // legacy ?dataset= parameter
-	nameBody                    // legacy body field (decompose)
-)
-
-// route is one row of the API routing table: the v1 pattern, its
-// legacy alias (empty = v1-only), and how the alias locates the
-// dataset. The table is the single source of truth for both surfaces —
-// registration, the 405 Allow set (computed by the mux from these
-// patterns), the alias-parity test and the README reference all derive
-// from it.
+// route is one row of the API routing table. The table is the single
+// source of truth for the surface — registration, the 405 Allow set
+// (computed by the mux from these patterns) and the README reference
+// all derive from it.
 type route struct {
-	method string
-	v1     string
-	legacy string
-	src    nameSource
-	// params marks routes that read query parameters beyond the legacy
-	// dataset name; only those pay the r.URL.Query() parse (it
-	// allocates, and the hot cached path is allocation-disciplined).
+	method  string
+	pattern string
+	// params marks routes that read query parameters; only those pay
+	// the r.URL.Query() parse (it allocates, and the hot cached path is
+	// allocation-disciplined).
 	params bool
 	fn     func(*Server, http.ResponseWriter, *http.Request, reqCtx)
 }
 
 func routeTable() []route {
 	return []route{
-		{http.MethodGet, "/v1/healthz", "/healthz", nameNone, false, (*Server).handleHealthz},
-		{http.MethodGet, "/v1/datasets", "/datasets", nameNone, false, (*Server).handleListDatasets},
-		{http.MethodPost, "/v1/datasets", "/datasets", nameNone, false, (*Server).handleAddDataset},
-		{http.MethodGet, "/v1/datasets/{name}", "", namePath, false, (*Server).handleGetDataset},
-		{http.MethodDelete, "/v1/datasets/{name}", "/datasets/{name}", namePath, false, (*Server).handleDeleteDataset},
-		{http.MethodPost, "/v1/datasets/{name}/edges", "/datasets/{name}/edges", namePath, false, (*Server).handleMutate},
-		{http.MethodDelete, "/v1/datasets/{name}/edges", "/datasets/{name}/edges", namePath, false, (*Server).handleDeleteEdges},
-		{http.MethodGet, "/v1/datasets/{name}/version", "/datasets/{name}/version", namePath, false, (*Server).handleVersion},
-		{http.MethodPost, "/v1/datasets/{name}/decompose", "/decompose", nameBody, false, (*Server).handleDecompose},
-		{http.MethodGet, "/v1/datasets/{name}/jobs", "", namePath, false, (*Server).handleJobs},
-		{http.MethodGet, "/v1/datasets/{name}/jobs/{id}", "", namePath, false, (*Server).handleJob},
-		{http.MethodGet, "/v1/datasets/{name}/phi", "/phi", nameQuery, true, (*Server).handlePhi},
-		{http.MethodGet, "/v1/datasets/{name}/support", "/support", nameQuery, true, (*Server).handleSupport},
-		{http.MethodGet, "/v1/datasets/{name}/levels", "/levels", nameQuery, false, (*Server).handleLevels},
-		{http.MethodGet, "/v1/datasets/{name}/communities", "/communities", nameQuery, true, (*Server).handleCommunities},
-		{http.MethodGet, "/v1/datasets/{name}/community_of", "/community_of", nameQuery, true, (*Server).handleCommunityOf},
-		{http.MethodGet, "/v1/datasets/{name}/kbitruss", "/kbitruss", nameQuery, true, (*Server).handleKBitruss},
-		{http.MethodGet, "/v1/datasets/{name}/tip", "", namePath, true, (*Server).handleTip},
-		{http.MethodGet, "/v1/datasets/{name}/theta", "", namePath, true, (*Server).handleTheta},
-		{http.MethodGet, "/v1/datasets/{name}/bicliques", "", namePath, true, (*Server).handleBicliques},
-		{http.MethodPost, "/v1/datasets/{name}/query", "", namePath, false, (*Server).handleBatchQuery},
+		{http.MethodGet, "/v1/healthz", false, (*Server).handleHealthz},
+		{http.MethodGet, "/v1/datasets", false, (*Server).handleListDatasets},
+		{http.MethodPost, "/v1/datasets", false, (*Server).handleAddDataset},
+		{http.MethodGet, "/v1/datasets/{name}", false, (*Server).handleGetDataset},
+		{http.MethodDelete, "/v1/datasets/{name}", false, (*Server).handleDeleteDataset},
+		{http.MethodPost, "/v1/datasets/{name}/edges", false, (*Server).handleMutate},
+		{http.MethodDelete, "/v1/datasets/{name}/edges", false, (*Server).handleDeleteEdges},
+		{http.MethodGet, "/v1/datasets/{name}/version", false, (*Server).handleVersion},
+		{http.MethodPost, "/v1/datasets/{name}/decompose", false, (*Server).handleDecompose},
+		{http.MethodGet, "/v1/datasets/{name}/jobs", false, (*Server).handleJobs},
+		{http.MethodGet, "/v1/datasets/{name}/jobs/{id}", false, (*Server).handleJob},
+		{http.MethodGet, "/v1/datasets/{name}/phi", true, (*Server).handlePhi},
+		{http.MethodGet, "/v1/datasets/{name}/support", true, (*Server).handleSupport},
+		{http.MethodGet, "/v1/datasets/{name}/levels", false, (*Server).handleLevels},
+		{http.MethodGet, "/v1/datasets/{name}/communities", true, (*Server).handleCommunities},
+		{http.MethodGet, "/v1/datasets/{name}/community_of", true, (*Server).handleCommunityOf},
+		{http.MethodGet, "/v1/datasets/{name}/kbitruss", true, (*Server).handleKBitruss},
+		{http.MethodGet, "/v1/datasets/{name}/tip", true, (*Server).handleTip},
+		{http.MethodGet, "/v1/datasets/{name}/theta", true, (*Server).handleTheta},
+		{http.MethodGet, "/v1/datasets/{name}/bicliques", true, (*Server).handleBicliques},
+		{http.MethodPost, "/v1/datasets/{name}/query", false, (*Server).handleBatchQuery},
 	}
 }
 
-// register wires one table row into the mux: the v1 pattern with
-// path-sourced name and v1 error style, and (when present) the legacy
-// alias resolving the name per its nameSource with the flat error
-// style.
+// register wires one table row into the mux, resolving the dataset
+// name from the path and parsing the query only for routes that read
+// it.
 func (s *Server) register(rt route) {
 	fn := rt.fn
-	s.mux.HandleFunc(rt.method+" "+rt.v1, func(w http.ResponseWriter, r *http.Request) {
-		rc := reqCtx{name: r.PathValue("name"), v1: true}
+	s.mux.HandleFunc(rt.method+" "+rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+		rc := reqCtx{name: r.PathValue("name")}
 		if rt.params {
 			rc.q = r.URL.Query()
-		}
-		fn(s, w, r, rc)
-	})
-	if rt.legacy == "" {
-		return
-	}
-	s.mux.HandleFunc(rt.method+" "+rt.legacy, func(w http.ResponseWriter, r *http.Request) {
-		var rc reqCtx
-		switch rt.src {
-		case namePath:
-			rc.name = r.PathValue("name")
-		case nameQuery:
-			// The legacy alias carries the dataset as a query parameter,
-			// so these routes parse the query regardless of rt.params.
-			rc.q = r.URL.Query()
-			rc.name = rc.q.Get("dataset")
-			if rc.name == "" {
-				s.writeError(w, rc, badRequestf("dataset is required"))
-				return
-			}
-		default:
-			if rt.params {
-				rc.q = r.URL.Query()
-			}
 		}
 		fn(s, w, r, rc)
 	})
@@ -355,13 +306,9 @@ func (iw *muxErrorWriter) finish(r *http.Request) {
 	}
 }
 
-// requireJSONBody enforces the v1 body contract: a request that
-// declares a Content-Type other than JSON is rejected with 415 before
-// any bytes are decoded. An absent Content-Type is accepted (bare
-// curl). The check applies to /v1 routes only — pre-v1 clients POST
-// JSON with whatever Content-Type their tool defaults to (curl -d
-// sends x-www-form-urlencoded), and the legacy aliases must keep
-// accepting them.
+// requireJSONBody enforces the body contract: a request that declares
+// a Content-Type other than JSON is rejected with 415 before any bytes
+// are decoded. An absent Content-Type is accepted (bare curl).
 func requireJSONBody(r *http.Request) error {
 	ct := r.Header.Get("Content-Type")
 	if ct == "" {
@@ -378,12 +325,10 @@ func requireJSONBody(r *http.Request) error {
 }
 
 // decodeBody decodes a size-capped JSON request body, enforcing the
-// JSON Content-Type contract on the v1 surface first.
-func decodeBody(w http.ResponseWriter, r *http.Request, rc reqCtx, v any) error {
-	if rc.v1 {
-		if err := requireJSONBody(r); err != nil {
-			return err
-		}
+// JSON Content-Type contract first.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := requireJSONBody(r); err != nil {
+		return err
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
@@ -452,18 +397,14 @@ func setJSONContentType(w http.ResponseWriter) {
 	w.Header()["Content-Type"] = contentTypeJSON
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, rc reqCtx, status int, v any) {
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	eb := getEnc()
 	defer putEnc(eb)
 	if err := eb.enc.Encode(v); err != nil {
 		s.errLog.Printf("%s %s: encoding response: %v", r.Method, r.URL.Path, err)
-		if rc.v1 {
-			writeV1Error(w, http.StatusInternalServerError, errorPayload{
-				Code: CodeInternal, Message: "internal: encoding response failed",
-			})
-		} else {
-			writeRawError(w, http.StatusInternalServerError, "internal: encoding response failed")
-		}
+		writeV1Error(w, http.StatusInternalServerError, errorPayload{
+			Code: CodeInternal, Message: "internal: encoding response failed",
+		})
 		return
 	}
 	setJSONContentType(w)
@@ -493,19 +434,19 @@ func encodeToBytes(fill func() (any, error)) ([]byte, error) {
 // dataset+version), through the pooled uncached path otherwise. fill
 // returns the response value to encode; both paths produce identical
 // bytes.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, rc reqCtx, vw *engine.View, key []byte, fill func() (any, error)) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, vw *engine.View, key []byte, fill func() (any, error)) {
 	if !s.useCache {
 		v, err := fill()
 		if err != nil {
-			s.writeError(w, rc, err)
+			writeError(w, err)
 			return
 		}
-		s.writeJSON(w, r, rc, http.StatusOK, v)
+		s.writeJSON(w, r, http.StatusOK, v)
 		return
 	}
 	data, hit, err := vw.Cached(key, func() ([]byte, error) { return encodeToBytes(fill) })
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	if hit {
@@ -519,7 +460,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, rc reqCtx, vw *
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, rc reqCtx) {
-	s.writeJSON(w, r, rc, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // memoryJSON is the wire form of engine.MemoryStats: the resident
@@ -583,16 +524,16 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request, rc r
 	for i, info := range infos {
 		out[i] = toDatasetJSON(info)
 	}
-	s.writeJSON(w, r, rc, http.StatusOK, out)
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	info, err := s.eng.Info(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
-	s.writeJSON(w, r, rc, http.StatusOK, toDatasetJSON(info))
+	s.writeJSON(w, r, http.StatusOK, toDatasetJSON(info))
 }
 
 type addDatasetRequest struct {
@@ -604,12 +545,12 @@ type addDatasetRequest struct {
 
 func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	var req addDatasetRequest
-	if err := decodeBody(w, r, rc, &req); err != nil {
-		s.writeError(w, rc, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if req.Name == "" {
-		s.writeError(w, rc, badRequestf("name is required"))
+		writeError(w, badRequestf("name is required"))
 		return
 	}
 	var err error
@@ -634,23 +575,23 @@ func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request, rc req
 		err = badRequestf("either path or edges is required")
 	}
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	info, err := s.eng.Info(req.Name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
-	s.writeJSON(w, r, rc, http.StatusCreated, toDatasetJSON(info))
+	s.writeJSON(w, r, http.StatusCreated, toDatasetJSON(info))
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	if err := s.eng.Remove(rc.name); err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
-	s.writeJSON(w, r, rc, http.StatusOK, map[string]string{"status": "removed"})
+	s.writeJSON(w, r, http.StatusOK, map[string]string{"status": "removed"})
 }
 
 // mutateRequest is the wire form of engine.MutateRequest.
@@ -679,19 +620,19 @@ type mutateJSON struct {
 
 func (s *Server) mutate(w http.ResponseWriter, r *http.Request, rc reqCtx, req engine.MutateRequest) {
 	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		s.writeError(w, rc, badRequestf("mutation needs insert or delete pairs"))
+		writeError(w, badRequestf("mutation needs insert or delete pairs"))
 		return
 	}
 	res, err := s.eng.Mutate(r.Context(), rc.name, req)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	status := http.StatusAccepted
 	if req.Wait {
 		status = http.StatusOK
 	}
-	s.writeJSON(w, r, rc, status, mutateJSON{
+	s.writeJSON(w, r, status, mutateJSON{
 		Dataset:    rc.name,
 		Version:    res.Version,
 		Pending:    res.Pending,
@@ -708,8 +649,8 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, rc reqCtx, req e
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	var req mutateRequest
-	if err := decodeBody(w, r, rc, &req); err != nil {
-		s.writeError(w, rc, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	s.mutate(w, r, rc, engine.MutateRequest{Insert: req.Insert, Delete: req.Delete, Wait: req.Wait})
@@ -721,8 +662,8 @@ func (s *Server) handleDeleteEdges(w http.ResponseWriter, r *http.Request, rc re
 		Edges [][2]int `json:"edges"`
 		Wait  bool     `json:"wait,omitempty"`
 	}
-	if err := decodeBody(w, r, rc, &req); err != nil {
-		s.writeError(w, rc, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	s.mutate(w, r, rc, engine.MutateRequest{Delete: req.Edges, Wait: req.Wait})
@@ -731,7 +672,7 @@ func (s *Server) handleDeleteEdges(w http.ResponseWriter, r *http.Request, rc re
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	info, err := s.eng.Info(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	out := map[string]any{
@@ -761,12 +702,11 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request, rc reqCtx
 			"apply_ms":    last.Duration.Milliseconds(),
 		}
 	}
-	s.writeJSON(w, r, rc, http.StatusOK, out)
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 type decomposeRequest struct {
-	// Dataset names the target on the legacy /decompose route; on the
-	// v1 resource route it is optional and must match the path when set.
+	// Dataset is optional and must match the path when set.
 	Dataset   string  `json:"dataset,omitempty"`
 	Algorithm string  `json:"algorithm,omitempty"`
 	Tau       float64 `json:"tau,omitempty"`
@@ -780,28 +720,20 @@ type decomposeRequest struct {
 
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	var req decomposeRequest
-	if err := decodeBody(w, r, rc, &req); err != nil {
-		s.writeError(w, rc, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	name := rc.name
-	if rc.v1 {
-		if req.Dataset != "" && req.Dataset != name {
-			s.writeError(w, rc, badRequestf("body dataset %q does not match path dataset %q", req.Dataset, name))
-			return
-		}
-	} else {
-		// Historical behaviour, preserved exactly: the legacy route
-		// takes the name from the body and lets an absent/empty one
-		// fall through to the engine's own not-found error (404 with
-		// the engine's message — old clients match it).
-		name = req.Dataset
+	if req.Dataset != "" && req.Dataset != name {
+		writeError(w, badRequestf("body dataset %q does not match path dataset %q", req.Dataset, name))
+		return
 	}
 	algo := core.BiTBUPlusPlus
 	if req.Algorithm != "" {
 		var ok bool
 		if algo, ok = core.ParseAlgorithm(req.Algorithm); !ok {
-			s.writeError(w, rc, badRequestf("unknown algorithm %q", req.Algorithm))
+			writeError(w, badRequestf("unknown algorithm %q", req.Algorithm))
 			return
 		}
 	}
@@ -812,20 +744,20 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request, rc reqC
 		// cancels the peeling loops. The work is done when we reply,
 		// so the status is 200, not 202.
 		if err := s.eng.Decompose(r.Context(), name, opt); err != nil {
-			s.writeError(w, rc, err)
+			writeError(w, err)
 			return
 		}
 		status = http.StatusOK
 	} else if _, err := s.eng.StartDecompose(context.WithoutCancel(r.Context()), name, opt); err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	info, err := s.eng.Info(name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
-	s.writeJSON(w, r, rc, status, toDatasetJSON(info))
+	s.writeJSON(w, r, status, toDatasetJSON(info))
 }
 
 // jobJSON is the wire form of engine.JobInfo. done/total count edges
@@ -871,14 +803,14 @@ func toJobJSON(i engine.JobInfo) jobJSON {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	jobs, err := s.eng.Jobs(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	out := make([]jobJSON, len(jobs))
 	for i, j := range jobs {
 		out[i] = toJobJSON(j)
 	}
-	s.writeJSON(w, r, rc, http.StatusOK, struct {
+	s.writeJSON(w, r, http.StatusOK, struct {
 		Dataset string    `json:"dataset"`
 		Jobs    []jobJSON `json:"jobs"`
 	}{Dataset: rc.name, Jobs: out})
@@ -887,15 +819,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		s.writeError(w, rc, badRequestf("job id: %v", err))
+		writeError(w, badRequestf("job id: %v", err))
 		return
 	}
 	info, err := s.eng.Job(rc.name, id)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
-	s.writeJSON(w, r, rc, http.StatusOK, toJobJSON(info))
+	s.writeJSON(w, r, http.StatusOK, toJobJSON(info))
 }
 
 // queryInt parses a required integer query parameter. Handlers parse
@@ -990,9 +922,8 @@ func edgeQueryKey(b []byte, endpoint string, u, v int64) []byte {
 	return b
 }
 
-// communitiesKey identifies one community listing shape: size < 0 is
-// the full (legacy, deprecated) listing, otherwise the rank window
-// [offset, offset+size). Paged (cursor-capable) and top-style requests
+// communitiesKey identifies one community listing shape: the rank
+// window [offset, offset+size). Paged (cursor-capable) and top-style requests
 // of the same window produce different bytes (next_cursor), so the
 // mode is part of the key.
 func communitiesKey(b []byte, k int64, size, offset int, paged bool) []byte {
@@ -1027,22 +958,22 @@ func kbitrussKey(b []byte, k int64) []byte {
 func (s *Server) handlePhi(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	u, err := queryInt(rc.q, "u")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	v, err := queryInt(rc.q, "v")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, edgeQueryKey(*kb, "phi", u, v), func() (any, error) {
+	s.respond(w, r, vw, edgeQueryKey(*kb, "phi", u, v), func() (any, error) {
 		phi, err := vw.Phi(int(u), int(v))
 		if err != nil {
 			return nil, err
@@ -1054,22 +985,22 @@ func (s *Server) handlePhi(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	u, err := queryInt(rc.q, "u")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	v, err := queryInt(rc.q, "v")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, edgeQueryKey(*kb, "support", u, v), func() (any, error) {
+	s.respond(w, r, vw, edgeQueryKey(*kb, "support", u, v), func() (any, error) {
 		sup, err := vw.Support(int(u), int(v))
 		if err != nil {
 			return nil, err
@@ -1090,12 +1021,10 @@ func fillLevels(name string, vw *engine.View) func() (any, error) {
 	}
 }
 
-// fillCommunities builds the /communities response for one rank window
-// (size < 0 = the full listing); shared by the handler and the
-// pre-warmer. Only paged (limit/cursor-style) requests hand out a
-// next_cursor — a top=N request has no way to use one (the handler
-// rejects cursor+top), and the legacy shapes must keep their exact
-// historical bytes.
+// fillCommunities builds the /communities response for one rank
+// window; shared by the handler and the pre-warmer. Only paged
+// (limit/cursor-style) requests hand out a next_cursor — a top=N
+// request has no way to use one (the handler rejects cursor+top).
 func fillCommunities(name string, vw *engine.View, k int64, size, offset int, paged bool) func() (any, error) {
 	return func() (any, error) {
 		cs, total, err := vw.CommunitiesPage(k, offset, size)
@@ -1103,7 +1032,7 @@ func fillCommunities(name string, vw *engine.View, k int64, size, offset int, pa
 			return nil, err
 		}
 		resp := communitiesResponse{Dataset: name, Version: vw.Version(), K: k, Total: total, Communities: cs}
-		if paged && size >= 0 && offset+len(cs) < total {
+		if paged && offset+len(cs) < total {
 			resp.NextCursor = encodeCursor(k, offset+len(cs))
 		}
 		return resp, nil
@@ -1134,84 +1063,80 @@ func decodeCursor(s string) (k int64, offset int, err error) {
 func (s *Server) handleLevels(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, append(*kb, "levels"...), fillLevels(rc.name, vw))
+	s.respond(w, r, vw, append(*kb, "levels"...), fillLevels(rc.name, vw))
 }
 
 func (s *Server) handleCommunities(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	k, err := queryInt(rc.q, "k")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	topRaw, limitRaw, cursorRaw := rc.q.Get("top"), rc.q.Get("limit"), rc.q.Get("cursor")
-	// size is the page length (< 0 = the unbounded legacy listing),
-	// offset the rank the page starts at; paged selects cursor-capable
-	// responses (next_cursor handed out when further pages exist).
-	size, offset, paged := -1, 0, false
+	// size is the page length, offset the rank the page starts at;
+	// paged selects cursor-capable responses (next_cursor handed out
+	// when further pages exist). The default is the first
+	// defaultCommunitiesLimit-long page.
+	size, offset, paged := defaultCommunitiesLimit, 0, true
 	switch {
 	case topRaw != "" && limitRaw != "":
-		s.writeError(w, rc, badRequestf("top and limit are mutually exclusive"))
+		writeError(w, badRequestf("top and limit are mutually exclusive"))
 		return
 	case topRaw != "":
 		if cursorRaw != "" {
-			s.writeError(w, rc, badRequestf("cursor pagination uses limit, not top"))
+			writeError(w, badRequestf("cursor pagination uses limit, not top"))
 			return
 		}
 		n, err := strconv.Atoi(topRaw)
 		if err != nil || n < 0 {
-			s.writeError(w, rc, badRequestf("top: must be a non-negative integer"))
+			writeError(w, badRequestf("top: must be a non-negative integer"))
 			return
 		}
-		size = n
+		size, paged = n, false
 	case limitRaw != "":
 		n, err := strconv.Atoi(limitRaw)
 		if err != nil || n <= 0 {
-			s.writeError(w, rc, badRequestf("limit: must be a positive integer"))
+			writeError(w, badRequestf("limit: must be a positive integer"))
 			return
 		}
-		size, paged = n, true
-	case rc.v1 || cursorRaw != "":
-		// The v1 default is paginated; the legacy alias keeps the
-		// historical unbounded listing (deprecated) unless a cursor
-		// opted into paging.
-		size, paged = defaultCommunitiesLimit, true
+		size = n
 	}
 	if cursorRaw != "" {
 		ck, off, err := decodeCursor(cursorRaw)
 		if err != nil {
-			s.writeError(w, rc, err)
+			writeError(w, err)
 			return
 		}
 		if ck != k {
-			s.writeError(w, rc, badRequestf("cursor: token is for k=%d, request says k=%d", ck, k))
+			writeError(w, badRequestf("cursor: token is for k=%d, request says k=%d", ck, k))
 			return
 		}
 		offset = off
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, communitiesKey(*kb, k, size, offset, paged), fillCommunities(rc.name, vw, k, size, offset, paged))
+	s.respond(w, r, vw, communitiesKey(*kb, k, size, offset, paged), fillCommunities(rc.name, vw, k, size, offset, paged))
 }
 
 func (s *Server) handleCommunityOf(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	k, err := queryInt(rc.q, "k")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vertex, err := queryInt(rc.q, "vertex")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	var layer engine.Layer
@@ -1221,17 +1146,17 @@ func (s *Server) handleCommunityOf(w http.ResponseWriter, r *http.Request, rc re
 	case "lower":
 		layer = engine.LowerLayer
 	default:
-		s.writeError(w, rc, badRequestf("layer must be upper or lower"))
+		writeError(w, badRequestf("layer must be upper or lower"))
 		return
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, communityOfKey(*kb, layer, vertex, k), func() (any, error) {
+	s.respond(w, r, vw, communityOfKey(*kb, layer, vertex, k), func() (any, error) {
 		c, ok, err := vw.CommunityOf(layer, int(vertex), k)
 		if err != nil {
 			return nil, err
@@ -1247,17 +1172,17 @@ func (s *Server) handleCommunityOf(w http.ResponseWriter, r *http.Request, rc re
 func (s *Server) handleKBitruss(w http.ResponseWriter, r *http.Request, rc reqCtx) {
 	k, err := queryInt(rc.q, "k")
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	vw, err := s.eng.View(rc.name)
 	if err != nil {
-		s.writeError(w, rc, err)
+		writeError(w, err)
 		return
 	}
 	kb := getKey()
 	defer putKey(kb)
-	s.respond(w, r, rc, vw, kbitrussKey(*kb, k), func() (any, error) {
+	s.respond(w, r, vw, kbitrussKey(*kb, k), func() (any, error) {
 		edges, err := vw.KBitrussEdges(k)
 		if err != nil {
 			return nil, err
@@ -1297,21 +1222,9 @@ func (s *Server) warmSnapshot(name string, vw *engine.View) {
 		n = s.prewarmLevels
 	}
 	for _, k := range levels[:n] {
-		// The request shapes clients actually send: the explicit
-		// top=prewarmTop page, the v1 default page (always — it is the
-		// documented default request of the new surface and bounded at
-		// defaultCommunitiesLimit communities), and — only when the
-		// level has at most prewarmTop components, where the full
-		// listing costs the same as the page — the no-top legacy
-		// default (keyed size=-1). Encoding a huge unpaged listing per
-		// level on every publish would burn producer-goroutine CPU (and
-		// delay the snapshot install) for bytes the cache may not even
-		// retain.
-		if cnt, err := vw.NumCommunities(k); err == nil && cnt <= s.prewarmTop {
-			kb2 := getKey()
-			warm(communitiesKey(*kb2, k, -1, 0, false), fillCommunities(name, vw, k, -1, 0, false))
-			putKey(kb2)
-		}
+		// The request shapes clients actually send: the default page
+		// (bounded at defaultCommunitiesLimit communities) and the
+		// explicit top=prewarmTop page.
 		kb2 := getKey()
 		warm(communitiesKey(*kb2, k, defaultCommunitiesLimit, 0, true), fillCommunities(name, vw, k, defaultCommunitiesLimit, 0, true))
 		putKey(kb2)

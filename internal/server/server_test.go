@@ -28,8 +28,8 @@ func newTestServer(t *testing.T) (*engine.Engine, *httptest.Server, *client.Clie
 	return eng, ts, client.New(ts.URL, client.WithHTTPClient(ts.Client()))
 }
 
-// doJSON issues a raw request — kept for the wire-format tests that
-// pin exact legacy behaviour (the typed client only speaks v1).
+// doJSON issues a raw request with a JSON body — for the wire-format
+// tests that post bodies the typed client would never build.
 func doJSON(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
 	var rd io.Reader
@@ -169,48 +169,38 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerErrorPaths pins the legacy wire behaviour of the root
-// aliases (flat error bodies, historical status codes); the v1 error
-// surface is covered by TestErrorModelConformance.
+// TestServerErrorPaths pins the status codes of dataset-lifecycle
+// failures: registration, query and decomposition requests a careless
+// or hostile client sends.
 func TestServerErrorPaths(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	registerFigure1(t, c, "fig1")
 
 	// Duplicate registration -> 409.
-	if code := doJSON(t, "POST", ts.URL+"/datasets", addDatasetRequest{
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets", addDatasetRequest{
 		Name: "fig1", Edges: [][2]int{{0, 0}},
 	}, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate register = %d, want 409", code)
 	}
 	// Query before decomposition -> 409.
-	if code := doJSON(t, "GET", ts.URL+"/phi?dataset=fig1&u=0&v=0", nil, nil); code != http.StatusConflict {
+	if code := doJSON(t, "GET", ts.URL+"/v1/datasets/fig1/phi?u=0&v=0", nil, nil); code != http.StatusConflict {
 		t.Fatalf("phi before decompose = %d, want 409", code)
 	}
 	// Bad requests -> 400.
-	if code := doJSON(t, "GET", ts.URL+"/phi?dataset=fig1&u=zero&v=0", nil, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "GET", ts.URL+"/v1/datasets/fig1/phi?u=zero&v=0", nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad u = %d, want 400", code)
 	}
-	if code := doJSON(t, "GET", ts.URL+"/communities?dataset=fig1", nil, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, "GET", ts.URL+"/v1/datasets/fig1/communities", nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("missing k = %d, want 400", code)
 	}
-	if code := doJSON(t, "POST", ts.URL+"/decompose", decomposeRequest{
-		Dataset: "fig1", Algorithm: "quantum",
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets/fig1/decompose", decomposeRequest{
+		Algorithm: "quantum",
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad algorithm = %d, want 400", code)
 	}
 	// Unknown dataset -> 404.
-	if code := doJSON(t, "POST", ts.URL+"/decompose", decomposeRequest{Dataset: "nope"}, nil); code != http.StatusNotFound {
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets/nope/decompose", decomposeRequest{}, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown dataset = %d, want 404", code)
-	}
-	// Historical behaviour: an absent dataset on the legacy route falls
-	// through to the engine's not-found (404 with the engine message),
-	// not a 400.
-	var eb errorBody
-	if code := doJSON(t, "POST", ts.URL+"/decompose", decomposeRequest{}, &eb); code != http.StatusNotFound {
-		t.Fatalf("empty-dataset legacy decompose = %d (%q), want 404", code, eb.Error)
-	}
-	if eb.Error != `engine: dataset not found: ""` {
-		t.Fatalf("empty-dataset legacy decompose message = %q", eb.Error)
 	}
 	// Hostile vertex ids (negative, or beyond the int32 id space) are a
 	// clean 400, not a panic or a giant allocation.
@@ -219,35 +209,18 @@ func TestServerErrorPaths(t *testing.T) {
 		{{3000000000, 0}},
 		{{0, 2000000000}},
 	} {
-		var body errorBody
-		if code := doJSON(t, "POST", ts.URL+"/datasets", addDatasetRequest{
+		var body v1ErrorBody
+		if code := doJSON(t, "POST", ts.URL+"/v1/datasets", addDatasetRequest{
 			Name: "hostile", Edges: edges,
-		}, &body); code != http.StatusBadRequest || body.Error == "" {
-			t.Fatalf("edges %v = %d (%q), want 400", edges, code, body.Error)
+		}, &body); code != http.StatusBadRequest || body.Error.Code != CodeBadRequest || body.Error.Message == "" {
+			t.Fatalf("edges %v = %d (%+v), want 400", edges, code, body.Error)
 		}
 	}
 	// Unreadable file path -> 400.
-	if code := doJSON(t, "POST", ts.URL+"/datasets", addDatasetRequest{
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets", addDatasetRequest{
 		Name: "ghost", Path: "/definitely/missing.txt",
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("missing path accepted")
-	}
-	// The legacy aliases stay lenient about Content-Type: pre-v1 clients
-	// (curl -d sends x-www-form-urlencoded) must keep working. Only the
-	// v1 surface enforces the 415.
-	req, err := http.NewRequest("POST", ts.URL+"/datasets",
-		bytes.NewReader([]byte(`{"name":"lenient","edges":[[0,0],[0,1],[1,0],[1,1]]}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy POST with form Content-Type = %d, want 201", resp.StatusCode)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -121,6 +120,11 @@ func TestErrorModelConformance(t *testing.T) {
 		{"bad biclique threshold", "GET", "/v1/datasets/ready/bicliques?min_upper=0", "", "", 400, CodeBadRequest},
 		{"bad biclique limit", "GET", "/v1/datasets/ready/bicliques?limit=-3", "", "", 400, CodeBadRequest},
 		{"malformed biclique cursor", "GET", "/v1/datasets/ready/bicliques?cursor=%21%21", "", "", 400, CodeBadRequest},
+		// The pre-v1 root routes are gone: they answer like any other
+		// path outside the route table.
+		{"retired root phi", "GET", "/phi?dataset=ready&u=0&v=0", "", "", 404, CodeRouteNotFound},
+		{"retired root decompose", "POST", "/decompose", "application/json", `{"dataset":"ready"}`, 404, CodeRouteNotFound},
+		{"retired root communities", "GET", "/communities?dataset=ready&k=1", "", "", 404, CodeRouteNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,14 +197,13 @@ func TestErrorClassificationConformance(t *testing.T) {
 		{"recovering", fmt.Errorf("%w: %q", engine.ErrRecovering, "ready"), CodeRecovering, http.StatusServiceUnavailable},
 		{"unclassified is internal", errors.New("disk melted"), CodeInternal, http.StatusInternalServerError},
 	}
-	s := New(engine.New())
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if code, status := classify(tc.err); code != tc.code || status != tc.status {
 				t.Fatalf("classify = (%q, %d), want (%q, %d)", code, status, tc.code, tc.status)
 			}
 			rec := httptest.NewRecorder()
-			s.writeError(rec, reqCtx{v1: true}, tc.err)
+			writeError(rec, tc.err)
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d", rec.Code, tc.status)
 			}
@@ -221,102 +224,8 @@ func TestErrorClassificationConformance(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasParity pins the alias contract: every legacy root
-// route answers byte-identically to its v1 counterpart on the same
-// snapshot (success payloads), and error bodies agree modulo envelope
-// (the legacy flat string equals the v1 message). Runs its comparisons
-// from parallel goroutines so CI's -race pass covers the shared
-// snapshot cache.
-func TestLegacyAliasParity(t *testing.T) {
-	eng := engine.New()
-	if err := eng.Register("d", gen.Uniform(40, 40, 420, 11)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Decompose(context.Background(), "d", engine.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(eng).Handler())
-	defer ts.Close()
-
-	vw, err := eng.View("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels, err := vw.Levels()
-	if err != nil || len(levels) == 0 {
-		t.Fatalf("levels: %v (%v)", levels, err)
-	}
-	k := levels[len(levels)/2]
-	edges, err := vw.KBitrussEdges(k)
-	if err != nil || len(edges) == 0 {
-		t.Fatalf("no edges at k=%d", k)
-	}
-	e := edges[0]
-
-	// legacy path (with ?dataset=) → v1 counterpart; success bodies
-	// must match byte for byte.
-	pairs := [][2]string{
-		{"/healthz", "/v1/healthz"},
-		{"/datasets", "/v1/datasets"},
-		{"/datasets/d/version", "/v1/datasets/d/version"},
-		{fmt.Sprintf("/phi?dataset=d&u=%d&v=%d", e[0], e[1]), fmt.Sprintf("/v1/datasets/d/phi?u=%d&v=%d", e[0], e[1])},
-		{fmt.Sprintf("/support?dataset=d&u=%d&v=%d", e[0], e[1]), fmt.Sprintf("/v1/datasets/d/support?u=%d&v=%d", e[0], e[1])},
-		{"/levels?dataset=d", "/v1/datasets/d/levels"},
-		{fmt.Sprintf("/communities?dataset=d&k=%d&top=5", k), fmt.Sprintf("/v1/datasets/d/communities?k=%d&top=5", k)},
-		{fmt.Sprintf("/communities?dataset=d&k=%d&limit=3", k), fmt.Sprintf("/v1/datasets/d/communities?k=%d&limit=3", k)},
-		{fmt.Sprintf("/community_of?dataset=d&layer=upper&vertex=%d&k=%d", e[0], k), fmt.Sprintf("/v1/datasets/d/community_of?layer=upper&vertex=%d&k=%d", e[0], k)},
-		{fmt.Sprintf("/kbitruss?dataset=d&k=%d", k), fmt.Sprintf("/v1/datasets/d/kbitruss?k=%d", k)},
-	}
-	var wg sync.WaitGroup
-	for _, pair := range pairs {
-		wg.Add(1)
-		go func(legacy, v1 string) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ { // cold + cached round trips
-				ls, lb := get(t, ts, legacy)
-				vs, vb := get(t, ts, v1)
-				if ls != vs {
-					t.Errorf("%s: legacy status %d, v1 %d", legacy, ls, vs)
-					return
-				}
-				if !bytes.Equal(lb, vb) {
-					t.Errorf("%s: bodies diverge\nlegacy: %s\nv1:     %s", legacy, lb, vb)
-					return
-				}
-			}
-		}(pair[0], pair[1])
-	}
-	wg.Wait()
-
-	// Error parity modulo envelope: the flat legacy string equals the
-	// v1 envelope's message, and the statuses agree.
-	errPairs := [][2]string{
-		{"/phi?dataset=ghost&u=0&v=0", "/v1/datasets/ghost/phi?u=0&v=0"},
-		{"/phi?dataset=d&u=0&v=99999", "/v1/datasets/d/phi?u=0&v=99999"},
-		{"/phi?dataset=d&u=zero&v=0", "/v1/datasets/d/phi?u=zero&v=0"},
-		{"/community_of?dataset=d&layer=upper&vertex=0&k=999999", "/v1/datasets/d/community_of?layer=upper&vertex=0&k=999999"},
-		{"/communities?dataset=d", "/v1/datasets/d/communities"},
-	}
-	for _, pair := range errPairs {
-		ls, lb := get(t, ts, pair[0])
-		vs, vb := get(t, ts, pair[1])
-		if ls != vs {
-			t.Fatalf("%s: legacy status %d, v1 %d", pair[0], ls, vs)
-		}
-		var flat errorBody
-		if err := json.Unmarshal(lb, &flat); err != nil || flat.Error == "" {
-			t.Fatalf("%s: legacy body is not a flat error: %s", pair[0], lb)
-		}
-		p := decodeEnvelope(t, vb)
-		if p.Message != flat.Error {
-			t.Fatalf("%s: messages diverge: legacy %q, v1 %q", pair[0], flat.Error, p.Message)
-		}
-	}
-}
-
 // TestCommunitiesPagination covers the cursor walk at the wire level:
-// pages partition the full listing, the legacy no-top listing stays
-// unbounded, and the v1 default is capped.
+// pages partition the full listing, and the default is capped.
 func TestCommunitiesPagination(t *testing.T) {
 	eng := engine.New()
 	if err := eng.Register("d", gen.Uniform(300, 300, 900, 17)); err != nil {
@@ -344,8 +253,8 @@ func TestCommunitiesPagination(t *testing.T) {
 		Communities []json.RawMessage `json:"communities"`
 		NextCursor  string            `json:"next_cursor"`
 	}
-	// Walk with limit=2; the concatenation must match the legacy
-	// unbounded listing element for element.
+	// Walk with limit=2; the concatenation must match the full top=total
+	// listing element for element.
 	var walked []json.RawMessage
 	cursor := ""
 	for {
@@ -373,16 +282,16 @@ func TestCommunitiesPagination(t *testing.T) {
 		}
 		cursor = p.NextCursor
 	}
-	status, body := get(t, ts, fmt.Sprintf("/communities?dataset=d&k=%d", k))
+	status, body := get(t, ts, fmt.Sprintf("/v1/datasets/d/communities?k=%d&top=%d", k, total))
 	if status != http.StatusOK {
-		t.Fatalf("legacy listing: %d", status)
+		t.Fatalf("full listing: %d", status)
 	}
 	var full page
 	if err := json.Unmarshal(body, &full); err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Communities) != total {
-		t.Fatalf("legacy no-top listing returned %d of %d communities (must stay unbounded)", len(full.Communities), total)
+		t.Fatalf("top=%d listing returned %d communities", total, len(full.Communities))
 	}
 	if len(walked) != total {
 		t.Fatalf("cursor walk returned %d of %d communities", len(walked), total)
