@@ -45,7 +45,7 @@ func Bitruss(args []string, stdout, stderr io.Writer) error {
 	summary := fs.Bool("summary", true, "print the decomposition summary")
 	communities := fs.Int64("communities", -1, "also list the communities of the k-bitruss at this level (-1 = off)")
 	top := fs.Int("top", -1, "cap the -communities and -bicliques listings to the n largest/first (-1 = all)")
-	tipFlag := fs.Bool("tip", false, "also compute the tip decomposition of both layers (honours -workers)")
+	tipFlag := fs.Bool("tip", false, "also compute the tip decomposition of both layers")
 	bicliques := fs.String("bicliques", "", "also enumerate maximal bicliques at 'AxB' minimum side sizes (e.g. 2x2)")
 	mutate := fs.String("mutate", "", "replay a mutation file ('+ u v' / '- u v' lines, blank line or --- ends a batch) with incremental maintenance after the initial decomposition")
 	remote := fs.String("remote", "", "replay -mutate against a running bitserved instance (base URL) through the typed v1 client instead of in process")
@@ -109,7 +109,7 @@ func Bitruss(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *tipFlag {
-		writeTipSummary(stdout, g, *workers)
+		writeTipSummary(stdout, g)
 	}
 	if *bicliques != "" {
 		var mu, ml int
@@ -508,9 +508,7 @@ func BGStat(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "max bitruss : %d (kmax bound %d)\n", res.MaxPhi, res.Metrics.KMax)
 	}
 	if *tipFlag {
-		up := tipDecompose(g, true, 0)
-		low := tipDecompose(g, false, 0)
-		fmt.Fprintf(stdout, "max tip     : upper %d, lower %d\n", up, low)
+		fmt.Fprintf(stdout, "max tip     : upper %d, lower %d\n", tip.Decompose(g, true).MaxTheta, tip.Decompose(g, false).MaxTheta)
 	}
 	if *mem {
 		writeMemTable(stdout, g, res)

@@ -9,16 +9,11 @@ import (
 	"repro/internal/tip"
 )
 
-// tipDecompose returns the maximum tip number of one layer.
-func tipDecompose(g *bigraph.Graph, upper bool, workers int) int64 {
-	return tip.DecomposeOptions(g, upper, tip.Options{Workers: workers}).MaxTheta
-}
-
 // writeTipSummary prints the bitruss -tip report: both layers' tip
 // decompositions with their maxima and resident sizes.
-func writeTipSummary(stdout io.Writer, g *bigraph.Graph, workers int) {
-	up := tip.DecomposeOptions(g, true, tip.Options{Workers: workers})
-	low := tip.DecomposeOptions(g, false, tip.Options{Workers: workers})
+func writeTipSummary(stdout io.Writer, g *bigraph.Graph) {
+	up := tip.Decompose(g, true)
+	low := tip.Decompose(g, false)
 	fmt.Fprintf(stdout, "tip        : upper max θ=%d (%d vertices, %d B), lower max θ=%d (%d vertices, %d B)\n",
 		up.MaxTheta, len(up.Theta), up.SizeBytes(), low.MaxTheta, len(low.Theta), low.SizeBytes())
 }

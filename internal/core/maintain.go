@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bigraph"
-	"repro/internal/bucket"
 	"repro/internal/butterfly"
 )
 
@@ -35,12 +34,12 @@ import (
 //     and are seeds), so the peel process restricted to them evolves
 //     exactly as before and their φ is unchanged.
 //
-// The candidate closure is then re-peeled BiT-BS-style with frozen
-// edges treated as permanently alive — exact because candidates all
-// finish at levels <= K*, where frozen edges are never removed by the
-// global peel either. When the closure exceeds a size threshold the
-// locality has broken down and Maintain falls back to a full
-// decomposition of the new graph.
+// The candidate closure is then re-peeled with frozen edges treated as
+// permanently alive — exact because candidates all finish at levels
+// <= K*, where frozen edges are never removed by the global peel
+// either. When the closure exceeds a size threshold the locality has
+// broken down and Maintain falls back to a full decomposition of the
+// new graph.
 
 // MaintainOptions configures Maintain. The zero value uses the default
 // candidate threshold and falls back to BiT-BU++.
@@ -50,13 +49,19 @@ type MaintainOptions struct {
 	// full decomposition: 0 selects DefaultMaxCandidateFraction, values
 	// >= 1 disable the fallback.
 	MaxCandidateFraction float64
-	// Algorithm, Tau, Workers and Ranges configure the fallback
-	// decomposition (Algorithm defaults to BiT-BU++ when zero-valued,
-	// matching the engine's default).
+	// Algorithm and Tau configure the fallback decomposition
+	// (Algorithm defaults to BiT-BU++ when zero-valued, matching the
+	// engine's default).
 	Algorithm Algorithm
 	Tau       float64
-	Workers   int
-	Ranges    int
+	// Workers is the shard count of every maintenance stage (<= 0
+	// selects GOMAXPROCS). Every count runs the same pipeline with
+	// identical output; 1 runs it on one goroutine. The fallback
+	// decomposition receives it verbatim.
+	Workers int
+	// Ranges is the range count of the re-peel (<= 0 picks a default
+	// from the shard count). The fallback receives it verbatim.
+	Ranges int
 	// Cancel aborts the maintenance (and any fallback) once closed.
 	Cancel <-chan struct{}
 	// Progress, when non-nil, observes the maintenance stages (delta,
@@ -145,30 +150,20 @@ func Maintain(oldG *bigraph.Graph, old *Result, newG *bigraph.Graph, rm *bigraph
 		_, oldSup = butterfly.CountAndSupports(oldG)
 	}
 
-	// Workers > 1 swaps every stage below for its parallel equivalent
-	// (see maintain_parallel.go); the output is identical either way.
+	// Every stage below is sharded across workers (see
+	// maintain_parallel.go); the worker count only picks the shard
+	// count, and the output is identical for every count.
 	workers := maintainWorkers(opt)
 
 	// Delta support counting (butterflies destroyed on the old graph,
-	// created on the new one — the two sets cannot overlap). The
-	// parallel path uses the dense accumulator: maintenance reads the
-	// counts once per surviving edge, so the sparse map's hashing costs
-	// more than the O(|E|) arrays it saves.
+	// created on the new one — the two sets cannot overlap) into dense
+	// per-edge arrays: maintenance reads the counts once per surviving
+	// edge, so a sparse map's hashing would cost more than the O(|E|)
+	// arrays it saves.
 	t0 := time.Now()
 	opt.pm.setStage(StageDelta)
-	var (
-		cntDel, cntIns         map[int32]int64
-		delArr, insArr         []int64
-		delTouched, insTouched []int32
-		destroyed, created     int64
-	)
-	if workers > 1 {
-		delArr, delTouched, destroyed = butterfly.DeltaSupportsDense(oldG, rm.Deleted, workers)
-		insArr, insTouched, created = butterfly.DeltaSupportsDense(newG, rm.Inserted, workers)
-	} else {
-		cntDel, destroyed = butterfly.DeltaSupports(oldG, rm.Deleted)
-		cntIns, created = butterfly.DeltaSupports(newG, rm.Inserted)
-	}
+	delArr, delTouched, destroyed := butterfly.DeltaSupportsDense(oldG, rm.Deleted, workers)
+	insArr, insTouched, created := butterfly.DeltaSupportsDense(newG, rm.Inserted, workers)
 	st.DeltaTime = time.Since(t0)
 
 	inserted := make([]bool, m2)
@@ -177,28 +172,15 @@ func Maintain(oldG *bigraph.Graph, old *Result, newG *bigraph.Graph, rm *bigraph
 	}
 	phiCarried := make([]int64, m2)
 	sup2 := make([]int64, m2)
-	if workers > 1 {
-		for e1, e2 := range rm.OldToNew {
-			if e2 < 0 {
-				continue
-			}
-			sup2[e2] = oldSup[e1] - delArr[e1]
-			phiCarried[e2] = old.Phi[e1]
+	for e1, e2 := range rm.OldToNew {
+		if e2 < 0 {
+			continue
 		}
-		for _, e2 := range insTouched {
-			sup2[e2] += insArr[e2]
-		}
-	} else {
-		for e1, e2 := range rm.OldToNew {
-			if e2 < 0 {
-				continue
-			}
-			sup2[e2] = oldSup[e1] - cntDel[int32(e1)]
-			phiCarried[e2] = old.Phi[e1]
-		}
-		for e2, c := range cntIns {
-			sup2[e2] += c
-		}
+		sup2[e2] = oldSup[e1] - delArr[e1]
+		phiCarried[e2] = old.Phi[e1]
+	}
+	for _, e2 := range insTouched {
+		sup2[e2] += insArr[e2]
 	}
 	for e2, s := range sup2 {
 		if s < 0 {
@@ -213,15 +195,7 @@ func Maintain(oldG *bigraph.Graph, old *Result, newG *bigraph.Graph, rm *bigraph
 			kstar = old.Phi[d]
 		}
 	}
-	if workers > 1 && len(rm.Inserted) > 0 {
-		kstar = maintainKStarParallel(newG, rm.Inserted, sup2, workers, kstar)
-	} else {
-		for _, i2 := range rm.Inserted {
-			if b := butterfly.PhiUpperBound(newG, i2, sup2); b > kstar {
-				kstar = b
-			}
-		}
-	}
+	kstar = maintainKStarParallel(newG, rm.Inserted, sup2, workers, kstar)
 	st.KStar = kstar
 
 	// Seeds and butterfly closure over non-frozen edges.
@@ -254,54 +228,21 @@ func Maintain(oldG *bigraph.Graph, old *Result, newG *bigraph.Graph, rm *bigraph
 	for _, i2 := range rm.Inserted {
 		add(i2)
 	}
-	if workers > 1 {
-		for _, e1 := range delTouched {
-			if e2 := rm.OldToNew[e1]; e2 >= 0 {
-				add(e2)
-			}
-		}
-		for _, e2 := range insTouched {
-			add(e2)
-		}
-	} else {
-		for e1 := range cntDel {
-			if e2 := rm.OldToNew[e1]; e2 >= 0 {
-				add(e2)
-			}
-		}
-		for e2 := range cntIns {
+	for _, e1 := range delTouched {
+		if e2 := rm.OldToNew[e1]; e2 >= 0 {
 			add(e2)
 		}
 	}
+	for _, e2 := range insTouched {
+		add(e2)
+	}
 	st.Seeds = len(cand)
 
-	// border holds the frozen edges appearing in candidate butterflies;
-	// only the parallel peel needs it (its subgraph must keep the frozen
-	// boundary alive — the serial peel walks the full graph instead).
-	var border []int32
-	overflow := len(cand) > maxCand
-	if workers > 1 {
-		var cerr error
-		cand, border, overflow, cerr = maintainClosureParallel(newG, frozen, sup2, cand, maxCand, workers, cancel)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-	} else {
-		for i := 0; i < len(cand) && !overflow; i++ {
-			if cancel.hit() {
-				return nil, nil, ErrCancelled
-			}
-			butterfly.ForEachButterflyOfEdge(newG, cand[i], nil, func(e2, e3, e4 int32) bool {
-				add(e2)
-				add(e3)
-				add(e4)
-				if len(cand) > maxCand {
-					overflow = true
-					return false
-				}
-				return true
-			})
-		}
+	// border holds the frozen edges appearing in candidate butterflies:
+	// the re-peel's subgraph must keep that boundary alive.
+	cand, border, overflow, err := maintainClosureParallel(newG, frozen, sup2, cand, maxCand, workers, cancel)
+	if err != nil {
+		return nil, nil, err
 	}
 	st.ClosureTime = time.Since(t1)
 	st.Candidates = len(cand)
@@ -310,98 +251,18 @@ func Maintain(oldG *bigraph.Graph, old *Result, newG *bigraph.Graph, rm *bigraph
 		return maintainFallback(newG, rm, phiCarried, opt, st, start)
 	}
 
-	// Re-peel the closure: frozen and non-candidate edges are
-	// permanently alive (non-candidates never share a butterfly with a
-	// candidate, so treating them as alive is vacuous; frozen edges
-	// genuinely outlive every candidate level). Workers > 1 runs the
-	// coarse/fine range peeler over the closure subgraph instead.
+	// Re-peel the closure subgraph with the coarse/fine range peeler:
+	// frozen edges are permanently alive (they genuinely outlive every
+	// candidate level), and non-candidates never share a butterfly with
+	// a candidate, so leaving them out is exact.
 	t2 := time.Now()
 	opt.pm.setTotal(int64(len(cand)))
 	opt.pm.setStage(StagePeel)
 	phi2 := make([]int64, m2)
 	copy(phi2, phiCarried)
-	var updates int64
-	if workers > 1 {
-		var perr error
-		updates, perr = maintainPeelParallel(newG, cand, border, frozen, phi2, opt, workers)
-		if perr != nil {
-			return nil, nil, perr
-		}
-	} else {
-		local := make([]int32, m2)
-		for i := range local {
-			local[i] = -1
-		}
-		vals := make([]int64, len(cand))
-		for li, e := range cand {
-			local[e] = int32(li)
-			vals[li] = sup2[e]
-		}
-		cur := append([]int64(nil), vals...)
-		q := bucket.New(vals)
-		removed := make([]bool, len(cand))
-		aliveEdge := func(f int32) bool {
-			lf := local[f]
-			return lf < 0 || !removed[lf]
-		}
-		mark := make([]int32, newG.NumVertices())
-		for i := range mark {
-			mark[i] = -1
-		}
-		for q.Len() > 0 {
-			if cancel.hit() {
-				return nil, nil, ErrCancelled
-			}
-			le, s := q.PopMin()
-			e := cand[le]
-			phi2[e] = s
-			removed[le] = true
-			opt.pm.add(1)
-			ed := newG.Edge(e)
-			u, v := ed.U, ed.V
-
-			nbrsU, eidsU := newG.Neighbors(u)
-			for i, x := range nbrsU {
-				if x != v && aliveEdge(eidsU[i]) {
-					mark[x] = eidsU[i]
-				}
-			}
-			nbrsV, eidsV := newG.Neighbors(v)
-			for j, w := range nbrsV {
-				ewv := eidsV[j]
-				if w == u || !aliveEdge(ewv) {
-					continue
-				}
-				if cancel.hit() {
-					return nil, nil, ErrCancelled
-				}
-				nbrsW, eidsW := newG.Neighbors(w)
-				for l, x := range nbrsW {
-					ewx := eidsW[l]
-					if x == v || !aliveEdge(ewx) {
-						continue
-					}
-					eux := mark[x]
-					if eux < 0 {
-						continue
-					}
-					// Butterfly [u, v, w, x]: the three other edges lose the
-					// butterfly destroyed by removing e, clamped at the
-					// current level as in Algorithm 1.
-					for _, f := range [3]int32{eux, ewv, ewx} {
-						lf := local[f]
-						if lf >= 0 && !removed[lf] && cur[lf] > s {
-							cur[lf]--
-							q.Update(lf, cur[lf])
-							updates++
-						}
-					}
-				}
-			}
-			for _, x := range nbrsU {
-				mark[x] = -1
-			}
-		}
+	updates, err := maintainPeelParallel(newG, cand, border, frozen, phi2, opt, workers)
+	if err != nil {
+		return nil, nil, err
 	}
 	st.PeelTime = time.Since(t2)
 

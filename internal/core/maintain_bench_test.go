@@ -1,13 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bigraph"
 	"repro/internal/gen"
@@ -106,102 +103,5 @@ func BenchmarkDeltaApply(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestWriteBenchPR3 emits the BENCH_pr3.json speedup summary when
-// BENCH_PR3 names an output path (e.g.
-// BENCH_PR3=BENCH_pr3.json go test -run WriteBenchPR3 ./internal/core/).
-// It is skipped otherwise so regular runs stay fast.
-func TestWriteBenchPR3(t *testing.T) {
-	out := os.Getenv("BENCH_PR3")
-	if out == "" {
-		t.Skip("set BENCH_PR3=<path> to emit the benchmark summary")
-	}
-	g, res := benchBase(t)
-
-	const reps = 5
-	measure := func(fn func()) float64 {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return float64(best.Nanoseconds()) / 1e6
-	}
-
-	decomposeMS := measure(func() {
-		if _, err := Decompose(g, Options{Algorithm: BiTBUPlusPlus}); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	type row struct {
-		Batch        int     `json:"batch_edges"`
-		ApplyMS      float64 `json:"apply_ms"`
-		MaintainMS   float64 `json:"maintain_ms"`
-		Candidates   int     `json:"candidates"`
-		ChangedPhi   int     `json:"changed_phi"`
-		FellBack     bool    `json:"fell_back"`
-		SpeedupPeel  float64 `json:"speedup_vs_decompose"`
-		SpeedupTotal float64 `json:"speedup_incl_apply"`
-	}
-	var rows []row
-	for _, size := range []int{1, 10, 100} {
-		d := benchDelta(g, size, int64(size))
-		applyMS := measure(func() {
-			if _, _, err := d.Apply(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		g2, rm, err := d.Apply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st *MaintainStats
-		maintainMS := measure(func() {
-			var merr error
-			_, st, merr = Maintain(g, res, g2, rm, MaintainOptions{})
-			if merr != nil {
-				t.Fatal(merr)
-			}
-		})
-		rows = append(rows, row{
-			Batch:        size,
-			ApplyMS:      applyMS,
-			MaintainMS:   maintainMS,
-			Candidates:   st.Candidates,
-			ChangedPhi:   st.ChangedPhi,
-			FellBack:     st.FellBack,
-			SpeedupPeel:  decomposeMS / maintainMS,
-			SpeedupTotal: decomposeMS / (maintainMS + applyMS),
-		})
-	}
-
-	summary := map[string]any{
-		"pr":           3,
-		"graph":        fmt.Sprintf("gen.Uniform(%d, %d, %d, seed=%d)", benchUpper, benchLower, benchDraws, benchSeed),
-		"edges":        g.NumEdges(),
-		"decompose_ms": decomposeMS,
-		"algorithm":    "BiT-BU++ (baseline) vs Maintain (incremental)",
-		"batches":      rows,
-	}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, data)
-
-	// The acceptance bar: single-edge maintenance at least 5x faster
-	// than a full re-decomposition.
-	if rows[0].SpeedupPeel < 5 {
-		t.Errorf("single-edge Maintain speedup %.1fx < 5x (decompose %.2fms, maintain %.2fms)",
-			rows[0].SpeedupPeel, decomposeMS, rows[0].MaintainMS)
 	}
 }

@@ -11,20 +11,20 @@ import (
 	"repro/internal/butterfly"
 )
 
-// This file parallelizes the incremental-maintenance pipeline of
-// maintain.go. With MaintainOptions.Workers resolved above 1, Maintain
-// swaps each stage for a multi-core equivalent with identical output:
+// This file is the incremental-maintenance pipeline that Maintain runs
+// for every worker count. MaintainOptions.Workers only picks the shard
+// count; the output is identical for every count:
 //
 //   - delta support counting shards the batch across workers
-//     (butterfly.DeltaSupportsParallel — merged maps are exact);
+//     (butterfly.DeltaSupportsDense — summation commutes);
 //   - the K* insertion bound strides the inserted edges and merges
 //     per-worker maxima (max is order-independent);
 //   - the butterfly closure runs as a level-synchronous BFS: workers
 //     claim edges by CAS on a shared state array and enumerate their
 //     frontier slice with private vertex-mark arrays, so the closure
-//     SET — all that downstream consumes — matches the serial BFS, and
-//     the frozen edges touched by candidate butterflies are collected
-//     as a by-product;
+//     SET — all that downstream consumes — is the BFS closure of the
+//     seeds, and the frozen edges touched by candidate butterflies are
+//     collected as a by-product;
 //   - the re-peel extracts the candidate subgraph (candidates plus
 //     touched frozen boundary), freezes the boundary in a compressed
 //     BE-Index, and runs the RECEIPT-style coarse/fine range peeler of
@@ -32,19 +32,16 @@ import (
 //     sentinel: every fine range keeps them as assigned, which is
 //     exactly "permanently alive".
 //
-// Exactness: each stage is individually proven identical to its serial
-// counterpart (the closure argument: every butterfly of a candidate
-// consists of candidates and frozen edges — non-frozen members are
-// candidates by closure — so the induced subgraph contains every
-// candidate butterfly and the compressed supports equal the maintained
-// sup2). The fallback decision is shared: both paths fall back iff the
-// closure exceeds maxCand, since a serial mid-expansion overflow and a
-// parallel level-boundary overflow are both equivalent to the full
-// closure being larger than the threshold.
+// Exactness of the re-peel: every butterfly of a candidate consists of
+// candidates and frozen edges — non-frozen members are candidates by
+// closure — so the induced subgraph contains every candidate butterfly
+// and the compressed supports equal the maintained sup2. The fallback
+// fires iff the full closure exceeds maxCand: the BFS checks at level
+// boundaries, and a closure that outgrows maxCand mid-level also
+// outgrows it at the level's end.
 
-// maintainWorkers resolves MaintainOptions.Workers: <= 0 selects
-// GOMAXPROCS (so the zero value stays serial on single-core hosts),
-// 1 forces the serial path, > 1 the parallel pipeline.
+// maintainWorkers resolves MaintainOptions.Workers to a shard count:
+// <= 0 selects GOMAXPROCS, any other value is taken as given.
 func maintainWorkers(opt MaintainOptions) int {
 	if opt.Workers > 0 {
 		return opt.Workers
@@ -65,7 +62,7 @@ func maintainSpawn(workers int) int {
 }
 
 // maintainKStarParallel computes max over inserted edges of
-// PhiUpperBound by striding the batch across workers, each enumerating
+// butterfly.PhiUpperBoundMarked by striding the batch across workers, each enumerating
 // with a private vertex-mark array (max is order-independent, so the
 // sharding cannot change the result).
 //
@@ -76,6 +73,9 @@ func maintainSpawn(workers int) int {
 // the max, so the returned value is exactly the unpruned maximum. On
 // insert-heavy batches this eliminates most of the enumeration.
 func maintainKStarParallel(g *bigraph.Graph, inserted []int32, sup []int64, workers int, floor int64) int64 {
+	if len(inserted) == 0 {
+		return floor
+	}
 	order := append([]int32(nil), inserted...)
 	sort.Slice(order, func(i, j int) bool { return sup[order[i]] > sup[order[j]] })
 	workers = maintainSpawn(workers)
@@ -156,8 +156,7 @@ const (
 // butterfly closure with a level-synchronous parallel BFS, returning
 // the closure, the frozen edges appearing in any candidate's butterfly
 // (the boundary the re-peel must keep alive), and whether the closure
-// outgrew maxCand (checked at level boundaries — equivalent to the
-// serial mid-expansion check, see the file comment). cand must hold
+// outgrew maxCand (checked at level boundaries, see the file comment). cand must hold
 // the seeds, already deduplicated and frozen-free; sup2 is the
 // maintained support (edges with sup2 == 0 are kept as candidates but
 // have no butterflies to scan, so their visit is skipped).
@@ -251,7 +250,7 @@ func maintainClosureParallel(g *bigraph.Graph, frozen []bool, sup2 []int64, cand
 // members, so the defers-to relation inside one butterfly follows the
 // strict (level, id) processing order and cannot form a cycle: some
 // member always scans it fully, and the claimed closure is exactly the
-// serial BFS closure. Dense candidate clusters drop most of their
+// BFS closure of the seeds. Dense candidate clusters drop most of their
 // redundant re-enumeration; frozen (border) edges never defer — they
 // are never visited.
 func closureVisitEdge(g *bigraph.Graph, e, level int32, frozen []bool, state []int32, mark []int32, next, border *[]int32) {
@@ -355,7 +354,7 @@ func maintainPeelParallel(g *bigraph.Graph, closure, border []int32, frozen []bo
 			// One core: range splitting buys no concurrency, so a single
 			// range skips the coarse phase entirely and the fine phase
 			// degenerates to one compressed BE-Index batch peel of the
-			// whole closure — the fastest serial layout.
+			// whole closure — the fastest one-goroutine layout.
 			ranges = 1
 		} else {
 			ranges = defaultRanges(spawn)

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkMaintainParallel measures the multi-core maintenance
-// pipeline on the 60k-edge graph at batch sizes whose closures are
-// large enough to re-peel a meaningful region (the acceptance regime
-// of the PR 7 benchmark; single-digit batches stay on the serial path
-// in practice, covered by BenchmarkMaintain).
+// BenchmarkMaintainParallel measures the maintenance pipeline across
+// shard counts on the 60k-edge graph at batch sizes whose closures are
+// large enough to re-peel a meaningful region (small batches are
+// covered by BenchmarkMaintain).
 func BenchmarkMaintainParallel(b *testing.B) {
 	g, res := benchBase(b)
 	for _, size := range []int{1000, 4000} {

@@ -130,23 +130,25 @@ func TestMaintainParallelGomaxprocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, _, err := Maintain(g, res, g2, rm, MaintainOptions{MaxCandidateFraction: 1, Workers: 1})
+			want, err := Decompose(g2, Options{Algorithm: BiTBUPlusPlus})
 			if err != nil {
-				t.Fatalf("graph %d batch %d serial: %v", gi, b, err)
+				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 8} {
+			var last *Result
+			for _, workers := range []int{1, 2, 4, 8} {
 				r, _, err := Maintain(g, res, g2, rm, MaintainOptions{MaxCandidateFraction: 1, Workers: workers})
 				if err != nil {
 					t.Fatalf("graph %d batch %d workers %d: %v", gi, b, workers, err)
 				}
-				for e := range serial.Phi {
-					if r.Phi[e] != serial.Phi[e] || r.Sup[e] != serial.Sup[e] {
+				for e := range want.Phi {
+					if r.Phi[e] != want.Phi[e] || r.Sup[e] != want.Sup[e] {
 						t.Fatalf("graph %d batch %d workers %d: edge %d diverged (phi %d/%d sup %d/%d)",
-							gi, b, workers, e, r.Phi[e], serial.Phi[e], r.Sup[e], serial.Sup[e])
+							gi, b, workers, e, r.Phi[e], want.Phi[e], r.Sup[e], want.Sup[e])
 					}
 				}
+				last = r
 			}
-			g, res = g2, serial
+			g, res = g2, last
 		}
 	}
 }

@@ -134,17 +134,6 @@ func (v *View) analyticsJob(label string) *job {
 	return j
 }
 
-// tipWorkers is the fan-out for lazily computed tip runs: the
-// dataset's decomposition fan-out when one was configured.
-func (v *View) tipWorkers() int {
-	if v.ds == nil {
-		return 0
-	}
-	v.ds.mu.RLock()
-	defer v.ds.mu.RUnlock()
-	return v.ds.workers
-}
-
 // Tip returns the tip decomposition of one layer of the viewed
 // snapshot, computing and memoising it on first use (unless lazy
 // analytics are disabled — then only snapshots decomposed with
@@ -168,10 +157,7 @@ func (v *View) Tip(layer Layer) (*tip.Result, error) {
 			label = "tip:upper"
 		}
 		j := v.analyticsJob(label)
-		res := tip.DecomposeOptions(v.snap.g, i == 0, tip.Options{
-			Workers:  v.tipWorkers(),
-			Progress: jobProgress(j),
-		})
+		res := tip.DecomposeOptions(v.snap.g, i == 0, tip.Options{Progress: jobProgress(j)})
 		a.tipRes[i].Store(res)
 		if j != nil {
 			j.finish(nil)

@@ -692,10 +692,7 @@ func (e *Engine) StartDecompose(ctx context.Context, name string, opt Options) (
 				// queries never pay a first-request computation (and work
 				// even with lazy analytics disabled).
 				for i, upper := range []bool{true, false} {
-					newSnap.ana.tipRes[i].Store(tip.DecomposeOptions(snap.g, upper, tip.Options{
-						Workers:  opt.Workers,
-						Progress: j.observe,
-					}))
+					newSnap.ana.tipRes[i].Store(tip.DecomposeOptions(snap.g, upper, tip.Options{Progress: j.observe}))
 				}
 			}
 			// Pre-warm before installation: the hook fills the fresh

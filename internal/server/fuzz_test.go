@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"testing"
 )
@@ -81,4 +82,64 @@ func TestParseBatchItemMatchesJSONSemantics(t *testing.T) {
 			t.Errorf("fixture is wrong: encoding/json accepts %q", bad)
 		}
 	}
+}
+
+// FuzzDecodeCursor checks the /communities cursor decoder on arbitrary
+// tokens: it never panics, every token it accepts carries a
+// non-negative offset and re-encodes to a token that decodes to the
+// same values, and every encoded (k, offset >= 0) decodes back to
+// itself.
+func FuzzDecodeCursor(f *testing.F) {
+	f.Add(encodeCursor(3, 100), int64(3), 100)
+	f.Add(encodeCursor(-1, 0), int64(0), 0)
+	f.Add("", int64(1<<62), 1<<40)
+	f.Add("not base64!", int64(-5), 7)
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("k=1&o=-1")), int64(1), 1)
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("k=9223372036854775808&o=1")), int64(1), 1)
+	f.Fuzz(func(t *testing.T, tok string, k int64, o int) {
+		if dk, do, err := decodeCursor(tok); err == nil {
+			if do < 0 {
+				t.Fatalf("token %q accepted with offset %d", tok, do)
+			}
+			k2, o2, err := decodeCursor(encodeCursor(dk, do))
+			if err != nil || k2 != dk || o2 != do {
+				t.Fatalf("token %q: (%d, %d) re-decodes to (%d, %d, %v)", tok, dk, do, k2, o2, err)
+			}
+		}
+		if o < 0 {
+			return
+		}
+		k2, o2, err := decodeCursor(encodeCursor(k, o))
+		if err != nil || k2 != k || o2 != o {
+			t.Fatalf("(%d, %d) decodes to (%d, %d, %v)", k, o, k2, o2, err)
+		}
+	})
+}
+
+// FuzzDecodeBicliqueCursor does the same for the /bicliques cursor:
+// accepted tokens carry thresholds >= 1 and a non-negative offset.
+func FuzzDecodeBicliqueCursor(f *testing.F) {
+	f.Add(encodeBicliqueCursor(2, 3, 100), 2, 3, 100)
+	f.Add(encodeBicliqueCursor(1, 1, 0), 1, 1, 0)
+	f.Add("", 0, 1, 1)
+	f.Add("not base64!", 1<<40, 1<<40, 1<<40)
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("mu=0&ml=1&o=1")), 1, 1, -1)
+	f.Fuzz(func(t *testing.T, tok string, mu, ml, o int) {
+		if dmu, dml, do, err := decodeBicliqueCursor(tok); err == nil {
+			if dmu < 1 || dml < 1 || do < 0 {
+				t.Fatalf("token %q accepted with (%d, %d, %d)", tok, dmu, dml, do)
+			}
+			mu2, ml2, o2, err := decodeBicliqueCursor(encodeBicliqueCursor(dmu, dml, do))
+			if err != nil || mu2 != dmu || ml2 != dml || o2 != do {
+				t.Fatalf("token %q: (%d, %d, %d) re-decodes to (%d, %d, %d, %v)", tok, dmu, dml, do, mu2, ml2, o2, err)
+			}
+		}
+		if mu < 1 || ml < 1 || o < 0 {
+			return
+		}
+		mu2, ml2, o2, err := decodeBicliqueCursor(encodeBicliqueCursor(mu, ml, o))
+		if err != nil || mu2 != mu || ml2 != ml || o2 != o {
+			t.Fatalf("(%d, %d, %d) decodes to (%d, %d, %d, %v)", mu, ml, o, mu2, ml2, o2, err)
+		}
+	})
 }

@@ -15,7 +15,7 @@ import (
 
 // testData builds a decomposed dataset state, optionally mutated so
 // that edge ids are not (U, V)-sorted.
-func testData(t *testing.T, mutate bool) *Data {
+func testData(t testing.TB, mutate bool) *Data {
 	t.Helper()
 	g := gen.Uniform(40, 40, 300, 7)
 	if mutate {

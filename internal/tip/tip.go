@@ -11,21 +11,9 @@
 // shares this repository's substrates: per-vertex butterfly counting
 // and the bucket queue. It is included because [5] — the BiT-BS
 // baseline — defines and evaluates both decompositions as one system.
-//
-// DecomposeOptions adds a parallel peeler in the spirit of RECEIPT
-// (Lakhotia et al., PAPERS.md): butterfly counting is sharded across
-// workers, and the peel proceeds level-synchronously — the whole
-// minimum bucket is extracted at once (bucket.PopMinBucket), its
-// butterfly losses are scanned in parallel, and the cascade within the
-// level is drained with the bulk range primitive bucket.PopBelow. Tip
-// numbers are a function of the graph alone, so serial and parallel
-// runs produce byte-identical results.
 package tip
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bigraph"
 	"repro/internal/bucket"
 	"repro/internal/core"
@@ -51,12 +39,9 @@ func (r *Result) SizeBytes() int64 {
 	return int64(len(r.Theta))*8 + 16
 }
 
-// Options configures a decomposition run. The zero value reproduces
-// the historical serial behaviour.
+// Options configures a decomposition run. The zero value runs without
+// progress reporting.
 type Options struct {
-	// Workers is the number of goroutines used for butterfly counting
-	// and the level-synchronous peel. <= 1 runs the serial path.
-	Workers int
 	// Progress, when non-nil, observes the run: StageCounting while
 	// initial butterfly counts are built (done counts vertices
 	// counted), StagePeel while tip numbers finalize (done counts
@@ -76,8 +61,7 @@ func Decompose(g *bigraph.Graph, upper bool) *Result {
 	return DecomposeOptions(g, upper, Options{})
 }
 
-// DecomposeOptions is Decompose with progress hooks and an optional
-// parallel peeler. Results are byte-identical across worker counts.
+// DecomposeOptions is Decompose with progress hooks.
 func DecomposeOptions(g *bigraph.Graph, upper bool, opt Options) *Result {
 	n := int32(g.NumVertices())
 	nl := int32(g.NumLower())
@@ -88,23 +72,14 @@ func DecomposeOptions(g *bigraph.Graph, upper bool, opt Options) *Result {
 		lo, hi = 0, nl
 	}
 	size := int(hi - lo)
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	pm := newMeter(opt.Progress, int64(size))
 
 	// Initial per-vertex butterfly counts for the peeled layer,
 	// restricted counting: butterflies [u, v, w, x] with u, w in the
 	// peeled layer contribute to u and w.
 	pm.stage(core.StageCounting)
-	var counts []int64
-	if workers > 1 {
-		counts = parallelButterflies(g, lo, hi, workers, pm)
-	} else {
-		counts = pairButterflies(g, lo, hi, nil)
-		pm.add(int64(size))
-	}
+	counts := pairButterflies(g, lo, hi, nil)
+	pm.add(int64(size))
 
 	res := &Result{Theta: make([]int64, size)}
 	var total int64
@@ -119,17 +94,14 @@ func DecomposeOptions(g *bigraph.Graph, upper bool, opt Options) *Result {
 	}
 	pm.reset(int64(size))
 	pm.stage(core.StagePeel)
-	if workers > 1 {
-		parallelPeel(g, lo, counts, alive, res, workers, pm)
-	} else {
-		serialPeel(g, lo, counts, alive, res, pm)
-	}
+	peel(g, lo, counts, alive, res, pm)
 	pm.done()
 	return res
 }
 
-// serialPeel is the historical one-vertex-at-a-time peel.
-func serialPeel(g *bigraph.Graph, lo int32, counts []int64, alive []bool, res *Result, pm *meter) {
+// peel removes one minimum-count vertex at a time, assigning tip
+// numbers in peeling order.
+func peel(g *bigraph.Graph, lo int32, counts []int64, alive []bool, res *Result, pm *meter) {
 	n := int32(g.NumVertices())
 	q := bucket.New(counts)
 	cnt := make([]int32, n)
@@ -180,168 +152,6 @@ func serialPeel(g *bigraph.Graph, lo int32, counts []int64, alive []bool, res *R
 		alive[v] = false
 		pm.add(1)
 	}
-}
-
-// parallelPeel drains the queue level-synchronously: the minimum
-// bucket is removed as a batch, each batch member's butterfly losses
-// are scanned by a worker pool into an atomically accumulated delta
-// array, and surviving vertices are re-bucketed with the usual clamp.
-// Vertices that fall to the current level join the next batch via
-// PopBelow(theta+1) until the level drains. Because removing a
-// peeled-layer vertex never changes common neighbourhoods (the other
-// layer is never peeled), per-member losses are independent and their
-// sum equals the serial cascade, so theta assignments are identical.
-func parallelPeel(g *bigraph.Graph, lo int32, counts []int64, alive []bool, res *Result, workers int, pm *meter) {
-	size := len(counts)
-	q := bucket.New(counts)
-	delta := make([]int64, size)       // accumulated butterfly losses this round
-	dirty := make([]atomic.Bool, size) // which delta entries were written
-	batch := make([]int32, 0, 256)
-	merged := make([]int32, 0, 256)
-	perWorker := make([][]int32, workers)
-
-	for q.Len() > 0 {
-		var theta int64
-		batch, theta = q.PopMinBucket(batch[:0])
-		if theta > res.MaxTheta {
-			res.MaxTheta = theta
-		}
-		for len(batch) > 0 {
-			for _, it := range batch {
-				res.Theta[it] = theta
-				alive[lo+it] = false
-			}
-			// Parallel loss scan: workers claim batch members via an
-			// atomic cursor; each scan is independent because common
-			// neighbourhoods are static under peeled-layer removals.
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					cnt := make([]int32, g.NumVertices())
-					touched := make([]int32, 0, 64)
-					local := perWorker[id][:0]
-					for {
-						i := cursor.Add(1) - 1
-						if i >= int64(len(batch)) {
-							break
-						}
-						v := lo + batch[i]
-						touched = touched[:0]
-						nbrs, _ := g.Neighbors(v)
-						for _, x := range nbrs {
-							nbrs2, _ := g.Neighbors(x)
-							for _, w2 := range nbrs2 {
-								if w2 == v || !alive[w2] {
-									continue
-								}
-								if cnt[w2] == 0 {
-									touched = append(touched, w2)
-								}
-								cnt[w2]++
-							}
-						}
-						for _, w2 := range touched {
-							c := int64(cnt[w2])
-							cnt[w2] = 0
-							if c < 2 {
-								continue
-							}
-							it2 := w2 - lo
-							atomic.AddInt64(&delta[it2], c*(c-1)/2)
-							if dirty[it2].CompareAndSwap(false, true) {
-								local = append(local, it2)
-							}
-						}
-					}
-					perWorker[id] = local
-				}(w)
-			}
-			wg.Wait()
-			pm.add(int64(len(batch)))
-
-			// Apply the merged deltas serially with the peeling clamp.
-			merged = merged[:0]
-			for w := range perWorker {
-				merged = append(merged, perWorker[w]...)
-			}
-			for _, it := range merged {
-				d := atomic.LoadInt64(&delta[it])
-				delta[it] = 0
-				dirty[it].Store(false)
-				if !q.Contains(it) {
-					continue
-				}
-				nv := q.Value(it) - d
-				if nv < theta {
-					nv = theta
-				}
-				q.Update(it, nv)
-			}
-			// Cascade within the level: everything clamped to theta.
-			batch = q.PopBelow(theta+1, batch[:0])
-		}
-	}
-}
-
-// parallelButterflies computes the same counts as pairButterflies by
-// sharding the peeled layer across workers. Each worker counts its own
-// vertices' butterflies from both wedge directions (so no cross-shard
-// writes are needed); the per-vertex values are identical to the
-// serial half-scan.
-func parallelButterflies(g *bigraph.Graph, lo, hi int32, workers int, pm *meter) []int64 {
-	counts := make([]int64, hi-lo)
-	const chunk = 64
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cnt := make([]int32, g.NumVertices())
-			touched := make([]int32, 0, 64)
-			for {
-				start := lo + int32(cursor.Add(chunk)-chunk)
-				if start >= hi {
-					return
-				}
-				end := start + chunk
-				if end > hi {
-					end = hi
-				}
-				for v := start; v < end; v++ {
-					touched = touched[:0]
-					nbrs, _ := g.Neighbors(v)
-					for _, x := range nbrs {
-						nbrs2, _ := g.Neighbors(x)
-						for _, w2 := range nbrs2 {
-							if w2 == v {
-								continue
-							}
-							if cnt[w2] == 0 {
-								touched = append(touched, w2)
-							}
-							cnt[w2]++
-						}
-					}
-					var b int64
-					for _, w2 := range touched {
-						c := int64(cnt[w2])
-						cnt[w2] = 0
-						if c >= 2 {
-							b += c * (c - 1) / 2
-						}
-					}
-					counts[v-lo] = b
-				}
-				pm.add(int64(end - start))
-			}
-		}()
-	}
-	wg.Wait()
-	return counts
 }
 
 // pairButterflies returns, for each vertex of [lo, hi), the number of
@@ -406,12 +216,12 @@ func (r *Result) KTipVertices(k int64) []int32 {
 }
 
 // meter is the package-local ProgressFunc throttle (core keeps its
-// meter unexported): nil-safe, stride-batched, concurrent-safe.
+// meter unexported): nil-safe and stride-batched.
 type meter struct {
 	fn    core.ProgressFunc
-	st    atomic.Int32
-	cnt   atomic.Int64
-	total atomic.Int64
+	st    core.Stage
+	cnt   int64
+	total int64
 }
 
 const meterStride = 4096
@@ -420,34 +230,32 @@ func newMeter(fn core.ProgressFunc, total int64) *meter {
 	if fn == nil {
 		return nil
 	}
-	m := &meter{fn: fn}
-	m.total.Store(total)
-	return m
+	return &meter{fn: fn, total: total}
 }
 
 func (m *meter) stage(s core.Stage) {
 	if m == nil {
 		return
 	}
-	m.st.Store(int32(s))
-	m.fn(s, m.cnt.Load(), m.total.Load())
+	m.st = s
+	m.fn(s, m.cnt, m.total)
 }
 
 func (m *meter) reset(total int64) {
 	if m == nil {
 		return
 	}
-	m.cnt.Store(0)
-	m.total.Store(total)
+	m.cnt = 0
+	m.total = total
 }
 
 func (m *meter) add(n int64) {
 	if m == nil || n <= 0 {
 		return
 	}
-	nd := m.cnt.Add(n)
-	if nd/meterStride != (nd-n)/meterStride {
-		m.fn(core.Stage(m.st.Load()), nd, m.total.Load())
+	m.cnt += n
+	if m.cnt/meterStride != (m.cnt-n)/meterStride {
+		m.fn(m.st, m.cnt, m.total)
 	}
 }
 
@@ -455,7 +263,7 @@ func (m *meter) done() {
 	if m == nil {
 		return
 	}
-	m.cnt.Store(m.total.Load())
-	m.st.Store(int32(core.StageDone))
-	m.fn(core.StageDone, m.cnt.Load(), m.total.Load())
+	m.cnt = m.total
+	m.st = core.StageDone
+	m.fn(core.StageDone, m.cnt, m.total)
 }

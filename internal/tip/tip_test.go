@@ -2,8 +2,6 @@ package tip
 
 import (
 	"math/rand"
-	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bigraph"
@@ -186,58 +184,29 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial pins the parallel peeler's contract: for
-// any worker count the result is byte-identical to the serial peel
-// (same Theta slice contents, same summary fields).
-func TestParallelMatchesSerial(t *testing.T) {
-	graphs := map[string]*bigraph.Graph{
-		"figure1":     testgraphs.Figure1(),
-		"bloom6":      testgraphs.Bloom(6),
-		"complete5x6": testgraphs.CompleteBiclique(5, 6),
-		"star30":      testgraphs.Star(30),
-		"rand1":       randomGraph(40, 50, 600, 1),
-		"rand2":       randomGraph(80, 60, 1200, 2),
-	}
-	for name, g := range graphs {
-		for _, upper := range []bool{true, false} {
-			serial := DecomposeOptions(g, upper, Options{Workers: 1})
-			for _, workers := range []int{2, 8} {
-				par := DecomposeOptions(g, upper, Options{Workers: workers})
-				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("%s upper=%v workers=%d: parallel result differs from serial", name, upper, workers)
-				}
-			}
-		}
-	}
-}
-
 func TestProgressReporting(t *testing.T) {
 	g := randomGraph(40, 50, 600, 7)
-	for _, workers := range []int{0, 4} {
-		var sawCounting, sawPeel, sawDone atomic.Bool
-		res := DecomposeOptions(g, true, Options{
-			Workers: workers,
-			Progress: func(stage core.Stage, done, total int64) {
-				switch stage {
-				case core.StageCounting:
-					sawCounting.Store(true)
-				case core.StagePeel:
-					sawPeel.Store(true)
-				case core.StageDone:
-					sawDone.Store(true)
-					if done != total {
-						t.Errorf("done stage: %d/%d", done, total)
-					}
+	var sawCounting, sawPeel, sawDone bool
+	res := DecomposeOptions(g, true, Options{
+		Progress: func(stage core.Stage, done, total int64) {
+			switch stage {
+			case core.StageCounting:
+				sawCounting = true
+			case core.StagePeel:
+				sawPeel = true
+			case core.StageDone:
+				sawDone = true
+				if done != total {
+					t.Errorf("done stage: %d/%d", done, total)
 				}
-			},
-		})
-		if res == nil || len(res.Theta) != g.NumUpper() {
-			t.Fatalf("workers=%d: bad result", workers)
-		}
-		if !sawCounting.Load() || !sawPeel.Load() || !sawDone.Load() {
-			t.Fatalf("workers=%d: stage coverage counting=%v peel=%v done=%v",
-				workers, sawCounting.Load(), sawPeel.Load(), sawDone.Load())
-		}
+			}
+		},
+	})
+	if res == nil || len(res.Theta) != g.NumUpper() {
+		t.Fatal("bad result")
+	}
+	if !sawCounting || !sawPeel || !sawDone {
+		t.Fatalf("stage coverage counting=%v peel=%v done=%v", sawCounting, sawPeel, sawDone)
 	}
 }
 
@@ -254,18 +223,10 @@ func TestSizeBytes(t *testing.T) {
 
 func BenchmarkTipDecompose(b *testing.B) {
 	g := randomGraph(2000, 2000, 20000, 42)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := DecomposeOptions(g, true, Options{Workers: bc.workers})
-				if res.MaxTheta == 0 {
-					b.Fatal("degenerate graph")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if res := Decompose(g, true); res.MaxTheta == 0 {
+			b.Fatal("degenerate graph")
+		}
 	}
 }

@@ -135,6 +135,10 @@ func replay(fsys vfs.FS, path string) (recs []Record, good int64, err error) {
 		return nil, 0, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
 	var hdr [frameHeaderSize]byte
 	var payload []byte
 	for {
@@ -143,8 +147,10 @@ func replay(fsys vfs.FS, path string) (recs []Record, good int64, err error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxPayload {
-			return recs, good, nil // corrupt length: reject the tail
+		if n > maxPayload || int64(n) > st.Size()-good-frameHeaderSize {
+			// Corrupt length, or a payload the file cannot hold: reject
+			// the tail before allocating for it.
+			return recs, good, nil
 		}
 		if uint32(cap(payload)) < n {
 			payload = make([]byte, n)
@@ -205,24 +211,7 @@ func (l *Log) Append(rec Record) error {
 	if need > maxPayload {
 		return fmt.Errorf("%w: %d ops", ErrTooLarge, len(rec.Ops))
 	}
-	if cap(l.buf) < frameHeaderSize+need {
-		l.buf = make([]byte, 0, frameHeaderSize+need)
-	}
-	buf := l.buf[:0]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(need))
-	buf = buf[:frameHeaderSize] // checksum patched below
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Version))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Ops)))
-	for _, op := range rec.Ops {
-		kind := byte(0)
-		if op.Del {
-			kind = 1
-		}
-		buf = append(buf, kind)
-		buf = binary.LittleEndian.AppendUint32(buf, op.U)
-		buf = binary.LittleEndian.AppendUint32(buf, op.V)
-	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[frameHeaderSize:], castagnoli))
+	buf := appendFrame(l.buf[:0], rec)
 	l.buf = buf
 	if _, err := l.f.Write(buf); err != nil {
 		l.fail()
@@ -234,6 +223,26 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.size += int64(len(buf))
 	return nil
+}
+
+// appendFrame appends rec's encoded frame (header and payload) to buf.
+func appendFrame(buf []byte, rec Record) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(12+len(rec.Ops)*9))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // checksum patched below
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Version))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Ops)))
+	for _, op := range rec.Ops {
+		kind := byte(0)
+		if op.Del {
+			kind = 1
+		}
+		buf = append(buf, kind)
+		buf = binary.LittleEndian.AppendUint32(buf, op.U)
+		buf = binary.LittleEndian.AppendUint32(buf, op.V)
+	}
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+frameHeaderSize:], castagnoli))
+	return buf
 }
 
 // fail marks the log broken and tries to cut the failed frame off, so

@@ -21,23 +21,10 @@ type TipResult struct {
 	TotalButterflies int64
 }
 
-// TipOptions configures TipDecomposeOptions. The zero value runs the
-// serial peeler without progress reporting.
-type TipOptions struct {
-	// Workers parallelises butterfly counting and the level-synchronous
-	// peel when > 1; the output is byte-identical to the serial peeler.
-	Workers int
-}
-
 // TipDecompose computes the tip number of every vertex of one layer
 // (upper selects U(G); the other layer is never peeled).
 func TipDecompose(g *Graph, upper bool) *TipResult {
-	return TipDecomposeOptions(g, upper, TipOptions{})
-}
-
-// TipDecomposeOptions is TipDecompose with configuration.
-func TipDecomposeOptions(g *Graph, upper bool, opt TipOptions) *TipResult {
-	res := tip.DecomposeOptions(g.g, upper, tip.Options{Workers: opt.Workers})
+	res := tip.Decompose(g.g, upper)
 	return &TipResult{
 		Theta:            res.Theta,
 		MaxTheta:         res.MaxTheta,
