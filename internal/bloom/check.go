@@ -45,6 +45,9 @@ func (ix *Index) CheckInvariants() error {
 			if ix.incPosB[i] != p {
 				return fmt.Errorf("bloom %d slot %d: incidence %d has posB %d", b, p, i, ix.incPosB[i])
 			}
+			if ix.bloomEdge[off+p] != ix.incEdge[i] {
+				return fmt.Errorf("bloom %d slot %d: bloomEdge %d but incidence %d belongs to edge %d", b, p, ix.bloomEdge[off+p], i, ix.incEdge[i])
+			}
 			if !live[i] {
 				return fmt.Errorf("incidence %d live in bloom view but not in edge view", i)
 			}

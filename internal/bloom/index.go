@@ -51,12 +51,13 @@ type Index struct {
 
 	edgeSlots  []int32 // incidence ids, segmented per edge
 	bloomSlots []int32 // incidence ids, segmented per bloom
+	bloomEdge  []int32 // bloomEdge[s] = incEdge[bloomSlots[s]], for contiguous bloom walks
 
 	// Scratch reused by the batch removal operations.
 	scratchC            []int32 // pair-removal counter per bloom (C(B*))
 	scratchTouched      []int32 // blooms with C(B*) > 0
 	scratchInS          []bool  // membership bitmap for the current batch
-	scratchDelta        []int64 // accumulated support deltas (BiT-BU+)
+	scratchDelta        []int64 // accumulated support deltas per edge
 	scratchTouchedEdges []int32 // edges with a pending delta
 }
 
@@ -172,6 +173,7 @@ func BuildCompressed(g *bigraph.Graph, assigned []bool) *Index {
 	ix.incPosB = make([]int32, totalInc)
 	ix.edgeSlots = make([]int32, totalInc)
 	ix.bloomSlots = make([]int32, totalInc)
+	ix.bloomEdge = make([]int32, totalInc)
 
 	// Reset bloomLen: pass 2 uses it as the fill cursor.
 	for b := range ix.bloomLen {
@@ -301,6 +303,7 @@ func (ix *Index) fillIncidence(i, e, b int32) {
 	ix.edgeLen[e] = pe + 1
 	pb := ix.bloomLen[b]
 	ix.bloomSlots[ix.bloomOff[b]+pb] = i
+	ix.bloomEdge[ix.bloomOff[b]+pb] = e
 	ix.incPosB[i] = pb
 	ix.bloomLen[b] = pb + 1
 }
@@ -346,10 +349,7 @@ func (ix *Index) Anchors(b int32) (int32, int32) { return ix.anchorA[b], ix.anch
 // to buf and returns it.
 func (ix *Index) EdgesOfBloom(b int32, buf []int32) []int32 {
 	lo := ix.bloomOff[b]
-	for s := lo; s < lo+ix.bloomLen[b]; s++ {
-		buf = append(buf, ix.incEdge[ix.bloomSlots[s]])
-	}
-	return buf
+	return append(buf, ix.bloomEdge[lo:lo+ix.bloomLen[b]]...)
 }
 
 // BloomsOfEdge appends the blooms currently linked to edge e (N_I(e)) to
@@ -394,6 +394,7 @@ func (ix *Index) SizeBytes() int64 {
 	b += int64(len(ix.incEdge)) * 4 * 5 // incEdge, incBloom, incTwin, incPosE, incPosB
 	b += int64(len(ix.edgeSlots)) * 4
 	b += int64(len(ix.bloomSlots)) * 4
+	b += int64(len(ix.bloomEdge)) * 4
 	return b
 }
 

@@ -317,6 +317,71 @@ func TestBatchRemovalEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchPeelsWriteAlike replays a whole bottom-up peel, batch by
+// minimum-support batch, through RemoveBatch and RemoveBatchEdgeOnly
+// side by side, on full and compressed indexes. After every batch both
+// indexes must hold identical supports, bloom numbers and incidence
+// structure, and both must have reported the same support writes: one
+// per touched surviving edge, carrying its final value (Lemma 9).
+func TestBatchPeelsWriteAlike(t *testing.T) {
+	graphs := []*bigraph.Graph{testgraphs.Figure1(), testgraphs.Bloom(9), testgraphs.Figure2a(8)}
+	for seed := int64(0); seed < 6; seed++ {
+		graphs = append(graphs, randomGraph(25, 30, 320, seed))
+	}
+	for gi, g := range graphs {
+		m := g.NumEdges()
+		// Every third edge by id is assigned in the compressed variant,
+		// so twins outside the edge layer (incTwin -1) are exercised.
+		assigned := make([]bool, m)
+		for e := range assigned {
+			assigned[e] = e%3 == 0
+		}
+		for _, asg := range [][]bool{nil, assigned} {
+			both := BuildCompressed(g, asg)
+			edgeOnly := BuildCompressed(g, asg)
+			for batch := 0; ; batch++ {
+				mbs := int64(-1)
+				for e := int32(0); e < int32(m); e++ {
+					if both.Indexed(e) && (mbs < 0 || both.Support(e) < mbs) {
+						mbs = both.Support(e)
+					}
+				}
+				if mbs < 0 {
+					break
+				}
+				var S []int32
+				for e := int32(0); e < int32(m); e++ {
+					if both.Indexed(e) && both.Support(e) == mbs {
+						S = append(S, e)
+					}
+				}
+				wBoth, wEdgeOnly := map[int32]int64{}, map[int32]int64{}
+				nBoth, nEdgeOnly := 0, 0
+				both.RemoveBatch(S, mbs, func(f int32, s int64) { wBoth[f] = s; nBoth++ })
+				edgeOnly.RemoveBatchEdgeOnly(S, mbs, func(f int32, s int64) { wEdgeOnly[f] = s; nEdgeOnly++ })
+				mustInvariants(t, both)
+				mustInvariants(t, edgeOnly)
+				if !equalSnapshots(capture(both), capture(edgeOnly)) {
+					t.Fatalf("graph %d compressed=%v batch %d: RemoveBatch and RemoveBatchEdgeOnly diverge", gi, asg != nil, batch)
+				}
+				if nBoth != len(wBoth) || nEdgeOnly != len(wEdgeOnly) {
+					t.Fatalf("graph %d compressed=%v batch %d: %d and %d writes for %d and %d edges, want one write per edge",
+						gi, asg != nil, batch, nBoth, nEdgeOnly, len(wBoth), len(wEdgeOnly))
+				}
+				if len(wBoth) != len(wEdgeOnly) {
+					t.Fatalf("graph %d compressed=%v batch %d: %d edges written, edge-only wrote %d", gi, asg != nil, batch, len(wBoth), len(wEdgeOnly))
+				}
+				for f, s := range wBoth {
+					if got, ok := wEdgeOnly[f]; !ok || got != s || s != both.Support(f) {
+						t.Fatalf("graph %d compressed=%v batch %d: edge %d written %d, edge-only %d (%v), support %d",
+							gi, asg != nil, batch, f, s, got, ok, both.Support(f))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCompressedIndex verifies Algorithm 6: assigned edges disappear from
 // L(I) while the blooms they support remain, so unassigned supports are
 // unchanged, and removals never touch assigned edges.

@@ -201,6 +201,7 @@ func BuildParallel(g *bigraph.Graph, workers int) *Index {
 	ix.incPosB = make([]int32, totalInc)
 	ix.edgeSlots = make([]int32, totalInc)
 	ix.bloomSlots = make([]int32, totalInc)
+	ix.bloomEdge = make([]int32, totalInc)
 
 	// Pass 2 (parallel): re-enumerate each chunk and fill incidences at
 	// the precomputed positions. Chunks write disjoint incidence id
@@ -226,6 +227,7 @@ func BuildParallel(g *bigraph.Graph, workers int) *Index {
 				pb := ix.bloomLen[b]
 				ix.bloomLen[b] = pb + 1
 				ix.bloomSlots[ix.bloomOff[b]+pb] = i
+				ix.bloomEdge[ix.bloomOff[b]+pb] = e
 				ix.incPosB[i] = pb
 			}
 			for u := bounds[c]; u < bounds[c+1]; u++ {

@@ -25,6 +25,7 @@ func (ix *Index) unlinkFromBloom(i int32) {
 	p := ix.incPosB[i]
 	moved := ix.bloomSlots[off+l]
 	ix.bloomSlots[off+p] = moved
+	ix.bloomEdge[off+p] = ix.bloomEdge[off+l]
 	ix.incPosB[moved] = p
 	ix.bloomLen[b] = l
 }
@@ -77,36 +78,47 @@ func (ix *Index) RemoveEdge(e int32, clamp int64, fn UpdateFunc) {
 		// Every surviving edge of B* shared exactly the one butterfly
 		// through e's wedge middle with e, so it loses one.
 		lo := ix.bloomOff[b]
-		for s := lo; s < lo+ix.bloomLen[b]; s++ {
-			ix.decrease(ix.incEdge[ix.bloomSlots[s]], 1, clamp, fn)
+		for _, f := range ix.bloomEdge[lo : lo+ix.bloomLen[b]] {
+			ix.decrease(f, 1, clamp, fn)
 		}
 		ix.bloomK[b] = k - 1
 	}
 	ix.indexed[e] = false
 }
 
+// addDelta charges d lost butterflies to the surviving edge f. The
+// charge is only written by applyDeltas, so an edge touched many times
+// in one batch costs one support write (Lemma 9 cost sharing).
+func (ix *Index) addDelta(f int32, d int64) {
+	if ix.scratchDelta[f] == 0 {
+		ix.scratchTouchedEdges = append(ix.scratchTouchedEdges, f)
+	}
+	ix.scratchDelta[f] += d
+}
+
+// applyDeltas writes every charge accumulated by addDelta as one
+// decrease clamped at mbs, reported through fn, and clears the charges.
+func (ix *Index) applyDeltas(mbs int64, fn UpdateFunc) {
+	delta := ix.scratchDelta
+	for _, f := range ix.scratchTouchedEdges {
+		ix.decrease(f, delta[f], mbs, fn)
+		delta[f] = 0
+	}
+	ix.scratchTouchedEdges = ix.scratchTouchedEdges[:0]
+}
+
 // RemoveBatchEdgeOnly removes the batch S of edges using only the batch
 // edge processing optimisation (the BiT-BU+ variant evaluated in Figure
-// 13): blooms are walked per removed edge as in Algorithm 2, but support
-// deltas for surviving edges are accumulated and applied — and counted —
-// once per affected edge at the end of the batch (Lemma 9 cost sharing).
-// All edges of S must currently share the minimum support mbs.
+// 13): blooms are walked per removed edge as in Algorithm 2, and the
+// support deltas of surviving edges are accumulated and written once
+// per touched edge at the end of the batch (Lemma 9). All edges of S
+// must currently share the minimum support mbs; writes are clamped at
+// mbs.
 func (ix *Index) RemoveBatchEdgeOnly(S []int32, mbs int64, fn UpdateFunc) {
 	ix.ensureScratch()
-	delta := ix.scratchDelta
-	touched := ix.scratchTouchedEdges[:0]
 	inS := ix.scratchInS
 	for _, e := range S {
 		inS[e] = true
-	}
-	add := func(f int32, d int64) {
-		if inS[f] {
-			return
-		}
-		if delta[f] == 0 {
-			touched = append(touched, f)
-		}
-		delta[f] += d
 	}
 	for _, e := range S {
 		off := ix.edgeOff[e]
@@ -120,33 +132,38 @@ func (ix *Index) RemoveBatchEdgeOnly(S []int32, mbs int64, fn UpdateFunc) {
 			if j >= 0 {
 				ix.unlinkFromEdge(j)
 				ix.unlinkFromBloom(j)
-				add(ix.incEdge[j], int64(k-1))
+				if f := ix.incEdge[j]; !inS[f] && k > 1 {
+					ix.addDelta(f, int64(k-1))
+				}
 			}
 			lo := ix.bloomOff[b]
-			for s := lo; s < lo+ix.bloomLen[b]; s++ {
-				add(ix.incEdge[ix.bloomSlots[s]], 1)
+			for _, f := range ix.bloomEdge[lo : lo+ix.bloomLen[b]] {
+				if !inS[f] {
+					ix.addDelta(f, 1)
+				}
 			}
 			ix.bloomK[b] = k - 1
 		}
 		ix.indexed[e] = false
 	}
-	for _, f := range touched {
-		ix.decrease(f, delta[f], mbs, fn)
-		delta[f] = 0
-	}
-	ix.scratchTouchedEdges = touched[:0]
+	ix.applyDeltas(mbs, fn)
 	for _, e := range S {
 		inS[e] = false
 	}
 }
 
 // RemoveBatch removes the batch S of edges with both batch-based
-// optimisations of Section V-B (Algorithm 5 lines 5-21): pair removals
-// per bloom are first counted in C(B*), twin edges are detached with a
-// single k-1 decrement, and then every touched bloom is traversed once,
-// decreasing each surviving edge by C(B*) and shrinking the bloom number
-// by C(B*). All edges of S must currently share the minimum support mbs;
-// writes are clamped at mbs.
+// optimisations of Section V-B (Algorithm 5 lines 5-21). Phase 1
+// detaches S and the twins of S, counting pair removals per bloom in
+// C(B*) and charging each surviving twin the k-1 butterflies of its
+// bloom, with k the bloom number at the start of the batch. Phase 2
+// traverses every touched bloom once, shrinking its bloom number by
+// C(B*) and charging each surviving edge C(B*). The charges of both
+// phases are accumulated per edge and written once per touched edge at
+// the end of the batch (Lemma 9), so BiT-BU++ makes exactly the support
+// writes of BiT-BU+ while walking each touched bloom only once. All
+// edges of S must currently share the minimum support mbs; writes are
+// clamped at mbs.
 func (ix *Index) RemoveBatch(S []int32, mbs int64, fn UpdateFunc) {
 	ix.ensureScratch()
 	c := ix.scratchC
@@ -169,14 +186,12 @@ func (ix *Index) RemoveBatch(S []int32, mbs int64, fn UpdateFunc) {
 			ix.unlinkFromEdge(i)
 			ix.unlinkFromBloom(i)
 			if j >= 0 {
-				twinEdge := ix.incEdge[j]
 				ix.unlinkFromEdge(j)
 				ix.unlinkFromBloom(j)
-				if !inS[twinEdge] {
-					// Algorithm 5 line 12: the twin loses all k-1
-					// butterflies of B*, with k the bloom number at the
-					// start of the iteration.
-					ix.decrease(twinEdge, int64(ix.bloomK[b]-1), mbs, fn)
+				// Algorithm 5 line 12: the twin loses all k-1
+				// butterflies of B*.
+				if f, k := ix.incEdge[j], ix.bloomK[b]; !inS[f] && k > 1 {
+					ix.addDelta(f, int64(k-1))
 				}
 			}
 		}
@@ -184,16 +199,19 @@ func (ix *Index) RemoveBatch(S []int32, mbs int64, fn UpdateFunc) {
 	}
 	// Phase 2: per touched bloom, shrink the bloom number by C(B*) and
 	// charge each surviving edge C(B*) lost butterflies (lines 14-18).
+	// Every incidence of S left its bloom in phase 1, so each edge seen
+	// here survives the batch.
 	for _, b := range touched {
 		cb := c[b]
 		ix.bloomK[b] -= cb
 		lo := ix.bloomOff[b]
-		for s := lo; s < lo+ix.bloomLen[b]; s++ {
-			ix.decrease(ix.incEdge[ix.bloomSlots[s]], int64(cb), mbs, fn)
+		for _, f := range ix.bloomEdge[lo : lo+ix.bloomLen[b]] {
+			ix.addDelta(f, int64(cb))
 		}
 		c[b] = 0
 	}
 	ix.scratchTouched = touched[:0]
+	ix.applyDeltas(mbs, fn)
 	for _, e := range S {
 		inS[e] = false
 	}

@@ -11,9 +11,11 @@ import (
 
 // runBU implements the bottom-up BE-Index algorithms: BiT-BU (Algorithm
 // 4) peels single edges with RemoveEdge (Algorithm 2); BiT-BU+ peels the
-// whole minimum-support bucket with per-edge bloom traversal and
-// aggregated support writes; BiT-BU++ (Algorithm 5) additionally batches
-// the bloom traversals.
+// whole minimum-support bucket with per-edge bloom traversal and one
+// aggregated support write per touched edge (Lemma 9); BiT-BU++
+// (Algorithm 5) additionally walks each touched bloom once per bucket,
+// and applies Lemma 9 across both of its phases, so it makes exactly
+// BiT-BU+'s support writes.
 func runBU(g *bigraph.Graph, opt Options) (*Result, error) {
 	m := g.NumEdges()
 	res := &Result{Phi: make([]int64, m)}

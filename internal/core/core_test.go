@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -208,6 +209,38 @@ func TestUpdateAccounting(t *testing.T) {
 	}
 	if updates[BiTBUPlusPlus] > updates[BiTBU] {
 		t.Errorf("BiT-BU++ made %d updates, more than BiT-BU's %d", updates[BiTBUPlusPlus], updates[BiTBU])
+	}
+}
+
+// TestBatchPeelsShareWrites pins the fusion of BiT-BU++'s two batch
+// optimisations with an exact counter: walking each touched bloom once
+// (Algorithm 5) must not cost extra support writes, so BiT-BU++ makes
+// exactly BiT-BU+'s one write per touched surviving edge per batch
+// (Lemma 9), and both still give the definition-based φ.
+func TestBatchPeelsShareWrites(t *testing.T) {
+	graphs := map[string]*bigraph.Graph{
+		"Figure1":      testgraphs.Figure1(),
+		"K(4,5)":       testgraphs.CompleteBiclique(4, 5),
+		"Bloom(10)":    testgraphs.Bloom(10),
+		"Figure2a(12)": testgraphs.Figure2a(12),
+		"Star(20)":     testgraphs.Star(20),
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		graphs[fmt.Sprintf("random(12,14,90,%d)", seed)] = randomGraph(12, 14, 90, seed)
+		graphs[fmt.Sprintf("random(30,35,500,%d)", seed)] = randomGraph(30, 35, 500, seed)
+	}
+	for name, g := range graphs {
+		want := NaiveDecompose(g)
+		bup := decompose(t, g, BiTBUPlus)
+		bupp := decompose(t, g, BiTBUPlusPlus)
+		if bupp.Metrics.SupportUpdates != bup.Metrics.SupportUpdates {
+			t.Errorf("%s: BiT-BU++ made %d support updates, BiT-BU+ %d", name, bupp.Metrics.SupportUpdates, bup.Metrics.SupportUpdates)
+		}
+		for e := range want {
+			if bup.Phi[e] != want[e] || bupp.Phi[e] != want[e] {
+				t.Fatalf("%s: φ(e%d) = %d (BU+), %d (BU++), want %d", name, e, bup.Phi[e], bupp.Phi[e], want[e])
+			}
+		}
 	}
 }
 

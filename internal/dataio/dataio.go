@@ -182,9 +182,10 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxPregrowEdges caps how many edges a header can pre-reserve in the
-// builder, so a corrupt or hostile edge count cannot demand an
-// arbitrary allocation before the payload read fails.
-const maxPregrowEdges = 1 << 26
+// builder (8 MB). The count is read before any checksum is verified, so
+// a corrupt or hostile one must not demand a large allocation before
+// the payload read fails; larger graphs grow by appending.
+const maxPregrowEdges = 1 << 20
 
 // WriteBinary writes g in the versioned binary container (magic
 // "BGRH"), checksummed with CRC-32C.
@@ -251,7 +252,7 @@ func WriteEdgeSection(w io.Writer, g *bigraph.Graph) error {
 type EdgeSink interface {
 	// SetLayerSizes announces the layer sizes before any edge.
 	SetLayerSizes(nUpper, nLower int)
-	// Grow hints the edge count (called only when it is plausible).
+	// Grow hints the edge count, capped at maxPregrowEdges.
 	Grow(n int)
 	// AddEdge delivers one edge as layer-local indices, in file order.
 	AddEdge(u, v int)
@@ -269,9 +270,7 @@ func ReadEdgeSection(r io.Reader, sink EdgeSink) error {
 	nlr := binary.LittleEndian.Uint32(hdr[4:8])
 	m := binary.LittleEndian.Uint64(hdr[8:16])
 	sink.SetLayerSizes(int(nu), int(nlr))
-	if m <= maxPregrowEdges {
-		sink.Grow(int(m))
-	}
+	sink.Grow(int(min(m, maxPregrowEdges)))
 	buf := make([]byte, 1<<13)
 	var done uint64
 	for done < m {
@@ -325,9 +324,7 @@ func readBinaryLegacy(br *bufio.Reader) (*bigraph.Graph, error) {
 	}
 	var b bigraph.Builder
 	b.SetLayerSizes(int(nu), int(nlr))
-	if m <= maxPregrowEdges {
-		b.Grow(int(m))
-	}
+	b.Grow(int(min(m, maxPregrowEdges)))
 	buf := make([]byte, 8)
 	for i := uint32(0); i < m; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {

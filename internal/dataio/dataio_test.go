@@ -2,8 +2,10 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -189,6 +191,35 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	g, err := ReadBinary(bytes.NewReader(cases[3]))
 	if err != nil || g.NumEdges() != 0 {
 		t.Errorf("empty binary graph: %v, %v", g, err)
+	}
+}
+
+// TestHugeEdgeCountAllocatesLittle declares 2^26 edges in the header
+// of a tiny .bg file, in both containers: the reader must reject the
+// file without first reserving memory for edges it does not hold.
+func TestHugeEdgeCountAllocatesLittle(t *testing.T) {
+	var v2 bytes.Buffer
+	if err := WriteBinary(&v2, testgraphs.Figure1()); err != nil {
+		t.Fatal(err)
+	}
+	huge := v2.Bytes()
+	binary.LittleEndian.PutUint64(huge[16:24], 1<<26) // magic, u16 version, u16 flags, u32 nu, u32 nl, u64 m
+	legacy := []byte("BGR1")
+	legacy = binary.LittleEndian.AppendUint32(legacy, 4)
+	legacy = binary.LittleEndian.AppendUint32(legacy, 4)
+	legacy = binary.LittleEndian.AppendUint32(legacy, 1<<26)
+	legacy = append(legacy, make([]byte, 8*4)...)
+	for name, in := range map[string][]byte{"BGRH": huge, "BGR1": legacy} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: %v, want ErrFormat", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 32<<20 {
+			t.Errorf("%s: ReadBinary allocated %d MB for a %d-byte file", name, d>>20, len(in))
+		}
 	}
 }
 

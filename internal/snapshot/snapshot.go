@@ -158,15 +158,8 @@ type orderedSink struct {
 	edges  []bigraph.Edge
 }
 
-// maxPregrow caps the edge reservation a header may ask for. The count
-// is read before the checksum is verified, so a corrupt one would
-// otherwise reserve up to dataio's pregrow cap (2^26 edges, 512 MB)
-// for a file of a few bytes; larger snapshots grow by appending.
-const maxPregrow = 1 << 20
-
 func (s *orderedSink) SetLayerSizes(nu, nl int) { s.nu, s.nl = nu, nl }
 func (s *orderedSink) Grow(n int) {
-	n = min(n, maxPregrow)
 	if cap(s.edges) < n {
 		s.edges = make([]bigraph.Edge, 0, n)
 	}
