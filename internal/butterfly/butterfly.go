@@ -35,6 +35,21 @@ func CountAndSupports(g *bigraph.Graph) (int64, []int64) {
 // CountVertices returns ⋈G and the per-vertex butterfly counts (how many
 // butterflies contain each vertex).
 func CountVertices(g *bigraph.Graph) (int64, []int64) {
+	return countVertices(g, true, true)
+}
+
+// CountLayerVertices is CountVertices for the vertices of one layer
+// (upper = U(G)): ⋈G and that layer's counts are exact, the other
+// layer's counts are left zero. It skips the wedge-middle sums of starts
+// in the chosen layer and the endpoint sums of starts in the other.
+func CountLayerVertices(g *bigraph.Graph, upper bool) (int64, []int64) {
+	return countVertices(g, upper, !upper)
+}
+
+// countVertices accumulates the counts of the upper and/or lower layer.
+// A start u and its wedge ends lie in u's layer, the wedge middles in
+// the other.
+func countVertices(g *bigraph.Graph, upper, lower bool) (int64, []int64) {
 	vcnt := make([]int64, g.NumVertices())
 	total := int64(0)
 
@@ -43,27 +58,35 @@ func CountVertices(g *bigraph.Graph) (int64, []int64) {
 	touched := make([]int32, 0, 64)
 	for u := int32(0); u < n; u++ {
 		touched = wedgeCounts(g, u, cnt, touched[:0])
-		ru := g.Rank(u)
+		ends, mids := lower, upper
+		if g.IsUpper(u) {
+			ends, mids = upper, lower
+		}
 		for _, w := range touched {
 			c := int64(cnt[w])
 			b := c * (c - 1) / 2
 			total += b
-			vcnt[u] += b
-			vcnt[w] += b
+			if ends {
+				vcnt[u] += b
+				vcnt[w] += b
+			}
 		}
 		// Each wedge middle v participates in c-1 butterflies of the
 		// bloom anchored by (u, w).
-		nbrsU, _ := g.Neighbors(u)
-		for _, v := range nbrsU {
-			if g.Rank(v) >= ru {
-				break
-			}
-			nbrsV, _ := g.Neighbors(v)
-			for _, w := range nbrsV {
-				if g.Rank(w) >= ru {
+		if mids {
+			ru := g.Rank(u)
+			nbrsU, _ := g.Neighbors(u)
+			for _, v := range nbrsU {
+				if g.Rank(v) >= ru {
 					break
 				}
-				vcnt[v] += int64(cnt[w] - 1)
+				nbrsV, _ := g.Neighbors(v)
+				for _, w := range nbrsV {
+					if g.Rank(w) >= ru {
+						break
+					}
+					vcnt[v] += int64(cnt[w] - 1)
+				}
 			}
 		}
 		for _, w := range touched {

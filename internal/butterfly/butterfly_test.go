@@ -214,6 +214,30 @@ func TestCountVertices(t *testing.T) {
 	}
 }
 
+// TestCountLayerVertices checks that restricting the count to one layer
+// keeps ⋈G and that layer's counts exact and leaves the other at zero.
+func TestCountLayerVertices(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		g := randomGraph(12, 15, 80, seed)
+		total, all := CountVertices(g)
+		for _, upper := range []bool{true, false} {
+			lt, vcnt := CountLayerVertices(g, upper)
+			if lt != total {
+				t.Errorf("seed %d upper=%v: total %d, want %d", seed, upper, lt, total)
+			}
+			for v := range vcnt {
+				want := all[v]
+				if g.IsUpper(int32(v)) != upper {
+					want = 0
+				}
+				if vcnt[v] != want {
+					t.Errorf("seed %d upper=%v: vertex %d count = %d, want %d", seed, upper, v, vcnt[v], want)
+				}
+			}
+		}
+	}
+}
+
 // kmaxReference computes the h-index by sorting, as the paper describes
 // ("after sorting the edges in non-ascending order of their butterfly
 // supports").

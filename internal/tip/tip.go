@@ -8,14 +8,17 @@
 //
 // Where bitruss decomposition peels edges by butterfly support, tip
 // decomposition peels the vertices of one layer by butterfly count. It
-// shares this repository's substrates: per-vertex butterfly counting
-// and the bucket queue. It is included because [5] — the BiT-BS
+// runs on this repository's substrates: the initial counts come from
+// butterfly.CountLayerVertices, the paper's vertex-priority counter
+// (its reference [8]), and the peel pops vertices from bucket.Queue,
+// the queue the bitruss peelers use. It is included because [5] — the BiT-BS
 // baseline — defines and evaluates both decompositions as one system.
 package tip
 
 import (
 	"repro/internal/bigraph"
 	"repro/internal/bucket"
+	"repro/internal/butterfly"
 	"repro/internal/core"
 )
 
@@ -53,84 +56,98 @@ type Options struct {
 // Decompose computes the tip number of every vertex of one layer
 // (upper = true peels U(G), vertices of the other layer are never
 // peeled, matching [5] where one layer is designated as the primary).
-//
-// The peeling recomputes butterfly deltas per removed vertex via
-// wedge enumeration restricted to alive vertices, the direct analogue
-// of the edge peeling of Algorithm 1.
 func Decompose(g *bigraph.Graph, upper bool) *Result {
 	return DecomposeOptions(g, upper, Options{})
 }
 
 // DecomposeOptions is Decompose with progress hooks.
+//
+// The initial counts and ⋈G come from butterfly.CountLayerVertices.
+// The peel then removes one minimum-count vertex v at a time and, for
+// every other peeled-layer vertex w, subtracts the C(c, 2) butterflies
+// w shared with v through c common neighbours, the vertex analogue of
+// the edge peeling of Algorithm 1. It walks the wedges v → x → w over a
+// copy of the unpeeled layer's adjacency that it compacts as it goes,
+// as RECEIPT (Lakhotia et al.) does: each walk of adj(x) writes the
+// live entries forward and drops v and any vertex peeled earlier, so a
+// peeled vertex is read at most once more per neighbour. The peeled
+// layer's own lists are only read, and the other layer is never
+// peeled, so no other liveness check is needed.
 func DecomposeOptions(g *bigraph.Graph, upper bool, opt Options) *Result {
-	n := int32(g.NumVertices())
-	nl := int32(g.NumLower())
-	var lo, hi int32
-	if upper {
-		lo, hi = nl, n
-	} else {
-		lo, hi = 0, nl
-	}
+	lo, hi := layer(g, upper)
 	size := int(hi - lo)
 	pm := newMeter(opt.Progress, int64(size))
 
-	// Initial per-vertex butterfly counts for the peeled layer,
-	// restricted counting: butterflies [u, v, w, x] with u, w in the
-	// peeled layer contribute to u and w.
 	pm.stage(core.StageCounting)
-	counts := pairButterflies(g, lo, hi, nil)
+	total, vcnt := butterfly.CountLayerVertices(g, upper)
 	pm.add(int64(size))
 
-	res := &Result{Theta: make([]int64, size)}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	res.TotalButterflies = total / 2 // each butterfly counted at both peeled endpoints
-
-	alive := make([]bool, n)
-	for v := int32(0); v < n; v++ {
-		alive[v] = true
-	}
+	res := &Result{Theta: make([]int64, size), TotalButterflies: total}
 	pm.reset(int64(size))
 	pm.stage(core.StagePeel)
-	peel(g, lo, counts, alive, res, pm)
+	peel(g, lo, hi, vcnt[lo:hi], res, pm)
 	pm.done()
 	return res
 }
 
-// peel removes one minimum-count vertex at a time, assigning tip
-// numbers in peeling order.
-func peel(g *bigraph.Graph, lo int32, counts []int64, alive []bool, res *Result, pm *meter) {
-	n := int32(g.NumVertices())
+// layer returns the global vertex ids [lo, hi) of the peeled layer.
+func layer(g *bigraph.Graph, upper bool) (lo, hi int32) {
+	if upper {
+		return int32(g.NumLower()), int32(g.NumVertices())
+	}
+	return 0, int32(g.NumLower())
+}
+
+// peel assigns tip numbers in peeling order and returns how many
+// entries of the unpeeled layer's adjacency it read.
+func peel(g *bigraph.Graph, lo, hi int32, counts []int64, res *Result, pm *meter) (reads int64) {
+	// The unpeeled layer's lists, holding peeled-layer-local ids: the
+	// lists of x occupy adj[start[x]:end[x]], and end shrinks as dead
+	// entries are dropped. x is indexed relative to olo.
+	olo, ohi := int32(0), lo
+	if lo == 0 {
+		olo, ohi = hi, int32(g.NumVertices())
+	}
+	start := make([]int32, ohi-olo)
+	end := make([]int32, ohi-olo)
+	adj := make([]int32, 0, g.NumEdges())
+	for x := olo; x < ohi; x++ {
+		start[x-olo] = int32(len(adj))
+		nbrs, _ := g.Neighbors(x)
+		for _, w := range nbrs {
+			adj = append(adj, w-lo)
+		}
+		end[x-olo] = int32(len(adj))
+	}
+
 	q := bucket.New(counts)
-	cnt := make([]int32, n)
+	cnt := make([]int32, hi-lo)
 	touched := make([]int32, 0, 64)
 	for q.Len() > 0 {
-		item, theta := q.PopMin()
-		v := lo + item
-		res.Theta[item] = theta
+		v, theta := q.PopMin()
+		res.Theta[v] = theta
 		if theta > res.MaxTheta {
 			res.MaxTheta = theta
 		}
-		// Removing v destroys, for every other peeled-layer vertex w,
-		// C(common alive neighbours, 2) butterflies shared with v.
 		touched = touched[:0]
-		nbrs, _ := g.Neighbors(v)
+		nbrs, _ := g.Neighbors(lo + v)
 		for _, x := range nbrs {
-			if !alive[x] {
-				continue
-			}
-			nbrs2, _ := g.Neighbors(x)
-			for _, w := range nbrs2 {
-				if w == v || !alive[w] {
+			x -= olo
+			b, e := start[x], end[x]
+			reads += int64(e - b)
+			keep := b
+			for _, w := range adj[b:e] {
+				if !q.Contains(w) { // v itself, or peeled earlier
 					continue
 				}
+				adj[keep] = w
+				keep++
 				if cnt[w] == 0 {
 					touched = append(touched, w)
 				}
 				cnt[w]++
 			}
+			end[x] = keep
 		}
 		for _, w := range touched {
 			c := int64(cnt[w])
@@ -138,69 +155,15 @@ func peel(g *bigraph.Graph, lo int32, counts []int64, alive []bool, res *Result,
 			if c < 2 {
 				continue
 			}
-			item2 := w - lo
-			if !q.Contains(item2) {
-				continue
-			}
-			delta := c * (c - 1) / 2
-			nv := q.Value(item2) - delta
+			nv := q.Value(w) - c*(c-1)/2
 			if nv < theta {
 				nv = theta // the usual peeling clamp
 			}
-			q.Update(item2, nv)
+			q.Update(w, nv)
 		}
-		alive[v] = false
 		pm.add(1)
 	}
-}
-
-// pairButterflies returns, for each vertex of [lo, hi), the number of
-// butterflies containing it, considering only vertices marked alive
-// (nil alive = all). Butterflies are counted through same-layer pairs:
-// a pair (v, w) with c common neighbours holds C(c, 2) butterflies,
-// each contributing C(c,2) to both v and w... — precisely, vertex v
-// participates in Σ_w C(common(v,w), 2) butterflies.
-func pairButterflies(g *bigraph.Graph, lo, hi int32, alive []bool) []int64 {
-	n := int32(g.NumVertices())
-	counts := make([]int64, hi-lo)
-	cnt := make([]int32, n)
-	touched := make([]int32, 0, 64)
-	for v := lo; v < hi; v++ {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		touched = touched[:0]
-		nbrs, _ := g.Neighbors(v)
-		for _, x := range nbrs {
-			if alive != nil && !alive[x] {
-				continue
-			}
-			nbrs2, _ := g.Neighbors(x)
-			for _, w := range nbrs2 {
-				if w <= v { // count each pair once from the larger id
-					continue
-				}
-				if alive != nil && !alive[w] {
-					continue
-				}
-				if cnt[w] == 0 {
-					touched = append(touched, w)
-				}
-				cnt[w]++
-			}
-		}
-		for _, w := range touched {
-			c := int64(cnt[w])
-			cnt[w] = 0
-			if c < 2 {
-				continue
-			}
-			b := c * (c - 1) / 2
-			counts[v-lo] += b
-			counts[w-lo] += b
-		}
-	}
-	return counts
+	return reads
 }
 
 // KTipVertices returns the layer-local vertices of the k-tip: those

@@ -1,12 +1,14 @@
 package tip
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bigraph"
 	"repro/internal/butterfly"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/testgraphs"
 )
 
@@ -46,6 +48,53 @@ func naiveTip(g *bigraph.Graph, upper bool) []int64 {
 		}
 	}
 	return theta
+}
+
+// pairButterflies is the definition-level count naiveTip recounts
+// with: for each vertex v of [lo, hi), considering only vertices marked
+// alive (nil alive = all), the number of butterflies containing v,
+// Σ_w C(common(v, w), 2) over the other vertices w of v's layer.
+func pairButterflies(g *bigraph.Graph, lo, hi int32, alive []bool) []int64 {
+	n := int32(g.NumVertices())
+	counts := make([]int64, hi-lo)
+	cnt := make([]int32, n)
+	touched := make([]int32, 0, 64)
+	for v := lo; v < hi; v++ {
+		if alive != nil && !alive[v] {
+			continue
+		}
+		touched = touched[:0]
+		nbrs, _ := g.Neighbors(v)
+		for _, x := range nbrs {
+			if alive != nil && !alive[x] {
+				continue
+			}
+			nbrs2, _ := g.Neighbors(x)
+			for _, w := range nbrs2 {
+				if w <= v { // count each pair once from the larger id
+					continue
+				}
+				if alive != nil && !alive[w] {
+					continue
+				}
+				if cnt[w] == 0 {
+					touched = append(touched, w)
+				}
+				cnt[w]++
+			}
+		}
+		for _, w := range touched {
+			c := int64(cnt[w])
+			cnt[w] = 0
+			if c < 2 {
+				continue
+			}
+			b := c * (c - 1) / 2
+			counts[v-lo] += b
+			counts[w-lo] += b
+		}
+	}
+	return counts
 }
 
 func randomGraph(nu, nl, m int, seed int64) *bigraph.Graph {
@@ -139,6 +188,66 @@ func TestAgainstNaiveRandom(t *testing.T) {
 	}
 }
 
+// TestAgainstNaiveWide checks both layers of skewed and structured
+// graphs against the definition-level reference, and ⋈G against the
+// global counter. Skewed degrees are where the peel's compaction drops
+// the most entries.
+func TestAgainstNaiveWide(t *testing.T) {
+	graphs := map[string]*bigraph.Graph{
+		"figure2a(6)":   testgraphs.Figure2a(6),
+		"bloom(9)":      testgraphs.Bloom(9),
+		"biclique(4,7)": testgraphs.CompleteBiclique(4, 7),
+		"biclique(6,3)": testgraphs.CompleteBiclique(6, 3),
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs[fmt.Sprintf("zipf(seed %d)", seed)] = gen.Zipf(60, 90, 800, 1.2, 1.0, seed)
+	}
+	for name, g := range graphs {
+		wantTotal := butterfly.Count(g)
+		for _, upper := range []bool{true, false} {
+			got := Decompose(g, upper)
+			if got.TotalButterflies != wantTotal {
+				t.Errorf("%s upper=%v: ⋈G = %d, want %d", name, upper, got.TotalButterflies, wantTotal)
+			}
+			want := naiveTip(g, upper)
+			var wantMax int64
+			for v := range want {
+				if got.Theta[v] != want[v] {
+					t.Errorf("%s upper=%v: θ(%d) = %d, want %d", name, upper, v, got.Theta[v], want[v])
+				}
+				wantMax = max(wantMax, want[v])
+			}
+			if got.MaxTheta != wantMax {
+				t.Errorf("%s upper=%v: MaxTheta = %d, want %d", name, upper, got.MaxTheta, wantMax)
+			}
+		}
+	}
+}
+
+// TestPeelReadsClosedForm pins the peel's adjacency reads on K(a, b).
+// Peeling a layer of p vertices whose other layer has o vertices walks
+// all o lists per peeled vertex; the compacting walk drops each peeled
+// vertex as it goes, so the lists hold p, p-1, ..., 1 entries when read:
+// o·p(p+1)/2 reads in total, where a walk that skips but keeps peeled
+// entries reads o·p².
+func TestPeelReadsClosedForm(t *testing.T) {
+	for _, ab := range [][2]int64{{1, 1}, {5, 6}, {7, 3}, {12, 12}} {
+		g := testgraphs.CompleteBiclique(int(ab[0]), int(ab[1]))
+		for _, upper := range []bool{true, false} {
+			p, o := ab[0], ab[1]
+			if !upper {
+				p, o = o, p
+			}
+			lo, hi := layer(g, upper)
+			_, vcnt := butterfly.CountLayerVertices(g, upper)
+			res := &Result{Theta: make([]int64, hi-lo)}
+			if got, want := peel(g, lo, hi, vcnt[lo:hi], res, nil), o*p*(p+1)/2; got != want {
+				t.Errorf("K(%d,%d) upper=%v: %d reads, want %d", ab[0], ab[1], upper, got, want)
+			}
+		}
+	}
+}
+
 func TestTotalButterfliesMatchesCounting(t *testing.T) {
 	g := randomGraph(25, 30, 300, 3)
 	res := Decompose(g, true)
@@ -226,6 +335,18 @@ func BenchmarkTipDecompose(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if res := Decompose(g, true); res.MaxTheta == 0 {
+			b.Fatal("degenerate graph")
+		}
+	}
+}
+
+// BenchmarkTipDecomposeSkew peels both layers of a skewed Zipf graph,
+// a tenth of the perfbench ready-skew subject's size.
+func BenchmarkTipDecomposeSkew(b *testing.B) {
+	g := gen.Zipf(2640, 7950, 18900, 1.2, 1.0, 101)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if up, low := Decompose(g, true), Decompose(g, false); up.MaxTheta == 0 || low.MaxTheta == 0 {
 			b.Fatal("degenerate graph")
 		}
 	}
