@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/butterfly"
@@ -8,16 +9,20 @@ import (
 )
 
 // Micro-benchmarks for the BE-Index: construction cost (Algorithm 3 vs
-// the compressed Algorithm 6) and the edge removal operation that the
-// index exists to accelerate (Algorithm 2 vs the combination-based
-// enumeration it replaces, measured end-to-end in the core package).
+// the compressed Algorithm 6, at 1, 2 and 4 chunks of start vertices)
+// and the edge removal operation that the index exists to accelerate
+// (Algorithm 2 vs the combination-based enumeration it replaces,
+// measured end-to-end in the core package).
 
 func BenchmarkIndexConstruction(b *testing.B) {
 	g := gen.Zipf(8000, 9000, 120000, 1.2, 1.1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix := Build(g)
-		b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB-index")
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ix := BuildCompressed(g, nil, workers)
+				b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB-index")
+			}
+		})
 	}
 }
 
@@ -38,7 +43,7 @@ func BenchmarkCompressedIndexConstruction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := BuildCompressed(g, assigned)
+		ix := BuildCompressed(g, assigned, 1)
 		b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB-index")
 	}
 }

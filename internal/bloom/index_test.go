@@ -337,8 +337,8 @@ func TestBatchPeelsWriteAlike(t *testing.T) {
 			assigned[e] = e%3 == 0
 		}
 		for _, asg := range [][]bool{nil, assigned} {
-			both := BuildCompressed(g, asg)
-			edgeOnly := BuildCompressed(g, asg)
+			both := BuildCompressed(g, asg, 1)
+			edgeOnly := BuildCompressed(g, asg, 1)
 			for batch := 0; ; batch++ {
 				mbs := int64(-1)
 				for e := int32(0); e < int32(m); e++ {
@@ -395,7 +395,7 @@ func TestCompressedIndex(t *testing.T) {
 		for e := range assigned {
 			assigned[e] = sup[e] > 3
 		}
-		ix := BuildCompressed(g, assigned)
+		ix := BuildCompressed(g, assigned, 1)
 		mustInvariants(t, ix)
 		if err := ix.CheckFreshSupports(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

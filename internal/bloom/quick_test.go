@@ -54,7 +54,7 @@ func TestCompressedSupportsQuick(t *testing.T) {
 		for e := range assigned {
 			assigned[e] = (uint32(e)>>(uint(e)%7))&1 == mask&1
 		}
-		cix := BuildCompressed(g, assigned)
+		cix := BuildCompressed(g, assigned, 1)
 		if cix.CheckInvariants() != nil {
 			return false
 		}

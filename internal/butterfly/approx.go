@@ -56,7 +56,7 @@ func edgeSupportDense(g *bigraph.Graph, u, v int32) int64 {
 
 // sparseMarkPool recycles the mark sets of edgeSupportSparse across
 // calls (the serving path issues one per /support query on a large,
-// undecomposed graph): like the wedgeCounts scratch of the counting
+// undecomposed graph): like the WedgeCounts scratch of the counting
 // kernels, the map is cleared and reused instead of reallocated.
 var sparseMarkPool = sync.Pool{New: func() any {
 	return make(map[int32]struct{}, 64)

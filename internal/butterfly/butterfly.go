@@ -9,7 +9,12 @@
 // ⋈e, and the per-vertex butterfly counts.
 package butterfly
 
-import "repro/internal/bigraph"
+import (
+	"runtime"
+	"sync"
+
+	"repro/internal/bigraph"
+)
 
 // EdgeSupports returns ⋈e for every edge e: the number of butterflies
 // ((2,2)-bicliques) containing e.
@@ -20,15 +25,22 @@ func EdgeSupports(g *bigraph.Graph) []int64 {
 
 // Count returns ⋈G, the total number of butterflies in g.
 func Count(g *bigraph.Graph) int64 {
-	total, _ := countImpl(g, nil)
-	return total
+	return countImpl(g, nil, 1)
 }
 
 // CountAndSupports returns ⋈G together with the per-edge supports in a
-// single pass over the priority-obeyed wedges.
+// single pass over the priority-obeyed wedges, on one goroutine.
 func CountAndSupports(g *bigraph.Graph) (int64, []int64) {
+	return CountAndSupportsWorkers(g, 1)
+}
+
+// CountAndSupportsWorkers is CountAndSupports with the start vertices
+// strided across workers goroutines. The fan-out is capped at GOMAXPROCS
+// and at |V|, since each worker holds 8·|E| + 4·|V| transient bytes; the
+// result is the same for every worker count.
+func CountAndSupportsWorkers(g *bigraph.Graph, workers int) (int64, []int64) {
 	sup := make([]int64, g.NumEdges())
-	total, _ := countImpl(g, sup)
+	total := countImpl(g, sup, workers)
 	return total, sup
 }
 
@@ -57,7 +69,7 @@ func countVertices(g *bigraph.Graph, upper, lower bool) (int64, []int64) {
 	cnt := make([]int32, n)
 	touched := make([]int32, 0, 64)
 	for u := int32(0); u < n; u++ {
-		touched = wedgeCounts(g, u, cnt, touched[:0])
+		touched = WedgeCounts(g, u, cnt, touched[:0])
 		ends, mids := lower, upper
 		if g.IsUpper(u) {
 			ends, mids = upper, lower
@@ -96,11 +108,13 @@ func countVertices(g *bigraph.Graph, upper, lower bool) (int64, []int64) {
 	return total, vcnt
 }
 
-// wedgeCounts fills cnt[w] with the number of priority-obeyed wedges
+// WedgeCounts fills cnt[w] with the number of priority-obeyed wedges
 // (u, v, w) for the given start vertex u and returns the list of end
 // vertices touched. cnt must be all-zero on entry for the touched set;
-// the caller resets it using the returned slice.
-func wedgeCounts(g *bigraph.Graph, u int32, cnt []int32, touched []int32) []int32 {
+// the caller resets it using the returned slice. Every w with
+// cnt[w] >= 2 anchors the maximal priority-obeyed bloom {u, w}
+// (Lemma 7), so the BE-Index construction runs on this scan too.
+func WedgeCounts(g *bigraph.Graph, u int32, cnt []int32, touched []int32) []int32 {
 	ru := g.Rank(u)
 	nbrsU, _ := g.Neighbors(u)
 	for _, v := range nbrsU {
@@ -121,16 +135,49 @@ func wedgeCounts(g *bigraph.Graph, u int32, cnt []int32, touched []int32) []int3
 	return touched
 }
 
-// countImpl runs the priority-wedge scan once. If sup is non-nil it must
-// have length g.NumEdges() and receives the per-edge supports.
-func countImpl(g *bigraph.Graph, sup []int64) (int64, []int32) {
+// countImpl runs the priority-wedge scan once, with the start vertices
+// strided across at most workers goroutines: interleaved strides balance
+// the skewed work of high-degree vertices better than contiguous blocks.
+// Each worker keeps private wedge counts and, after the first, a private
+// support accumulator, so the result is deterministic. If sup is non-nil
+// it must have length g.NumEdges() and receives the per-edge supports.
+func countImpl(g *bigraph.Graph, sup []int64, workers int) int64 {
+	n := int32(g.NumVertices())
+	nw := max(1, min(workers, runtime.GOMAXPROCS(0), int(n)))
+	totals := make([]int64, nw)
+	sups := make([][]int64, nw)
+	var wg sync.WaitGroup
+	for w := 1; w < nw; w++ {
+		if sup != nil {
+			sups[w] = make([]int64, len(sup))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			totals[w] = countStride(g, int32(w), int32(nw), sups[w])
+		}()
+	}
+	totals[0] = countStride(g, 0, int32(nw), sup)
+	wg.Wait()
+	total := totals[0]
+	for w := 1; w < nw; w++ {
+		total += totals[w]
+		for e, s := range sups[w] {
+			sup[e] += s
+		}
+	}
+	return total
+}
+
+// countStride scans the start vertices first, first+stride, ... and
+// returns their butterflies; a non-nil sup accumulates their supports.
+func countStride(g *bigraph.Graph, first, stride int32, sup []int64) int64 {
 	n := int32(g.NumVertices())
 	cnt := make([]int32, n)
 	touched := make([]int32, 0, 64)
 	total := int64(0)
-
-	for u := int32(0); u < n; u++ {
-		touched = wedgeCounts(g, u, cnt, touched[:0])
+	for u := first; u < n; u += stride {
+		touched = WedgeCounts(g, u, cnt, touched[:0])
 		for _, w := range touched {
 			c := int64(cnt[w])
 			total += c * (c - 1) / 2
@@ -159,7 +206,7 @@ func countImpl(g *bigraph.Graph, sup []int64) (int64, []int32) {
 			cnt[w] = 0
 		}
 	}
-	return total, cnt
+	return total
 }
 
 // KMax returns the largest possible bitruss number bound used by BiT-PC

@@ -2,6 +2,7 @@ package butterfly
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -154,11 +155,12 @@ func TestSupportSumIsFourTimesCount(t *testing.T) {
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
+	setProcs(t, 8)
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomGraph(300, 400, 5000, seed)
-		st, ss := CountAndSupports(g)
+		st, ss := CountAndSupportsWorkers(g, 1)
 		for _, workers := range []int{2, 3, 8} {
-			pt, ps := CountAndSupportsParallel(g, workers)
+			pt, ps := CountAndSupportsWorkers(g, workers)
 			if pt != st {
 				t.Errorf("seed %d workers %d: total %d != %d", seed, workers, pt, st)
 			}
@@ -172,9 +174,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestParallelSmallGraphFallback(t *testing.T) {
+	setProcs(t, 8)
 	g := testgraphs.Figure1()
-	pt, ps := CountAndSupportsParallel(g, 4)
-	st, ss := CountAndSupports(g)
+	pt, ps := CountAndSupportsWorkers(g, 4)
+	st, ss := CountAndSupportsWorkers(g, 1)
 	if pt != st {
 		t.Errorf("fallback total %d != %d", pt, st)
 	}
@@ -182,6 +185,37 @@ func TestParallelSmallGraphFallback(t *testing.T) {
 		if ps[e] != ss[e] {
 			t.Errorf("fallback sup(e%d) %d != %d", e, ps[e], ss[e])
 		}
+	}
+}
+
+// setProcs sets GOMAXPROCS to p for the rest of the test. The counter
+// caps its fan-out at GOMAXPROCS, so the worker counts under test must
+// not depend on the machine's CPU count.
+func setProcs(t *testing.T, p int) {
+	prev := runtime.GOMAXPROCS(p)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestCountFanOutMemory: a caller-chosen worker count must not multiply
+// the counter's transient memory. Each worker holds 8·|E| + 4·|V|
+// bytes, so the fan-out is capped at GOMAXPROCS; 64 requested workers
+// must allocate about what 2 do at GOMAXPROCS 2.
+func TestCountFanOutMemory(t *testing.T) {
+	setProcs(t, 2)
+	g := randomGraph(1100, 1100, 10000, 8)
+	if g.NumVertices() < 2048 {
+		t.Fatalf("graph has %d vertices, want >= 2048", g.NumVertices())
+	}
+	alloc := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		CountAndSupportsWorkers(g, workers)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := alloc(2)
+	if wide := alloc(64); wide > base+base/4 {
+		t.Fatalf("64 workers allocated %d B, 2 workers %d B", wide, base)
 	}
 }
 

@@ -39,7 +39,7 @@ func Bitruss(args []string, stdout, stderr io.Writer) error {
 	oneBased := fs.Bool("one-based", false, "treat text vertex ids as 1-based (KONECT)")
 	algo := fs.String("algo", "bu++", "algorithm: bs, bu, bu+, bu++, bu++p, pc")
 	tau := fs.Float64("tau", 0, "BiT-PC threshold decrement fraction (0 = default)")
-	workers := fs.Int("workers", 0, "parallel workers for counting/index build and the bu++p peeler (0 = serial; bu++p then uses GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel workers for the butterfly counting (bs, pc), the BE-Index build (bu, bu+, bu++, bu++p) and the bu++p peeler; counting and index build use at most GOMAXPROCS (0 = serial; bu++p then uses GOMAXPROCS)")
 	ranges := fs.Int("ranges", 0, "coarse support ranges of the bu++p peeler (0 = derived from -workers)")
 	output := fs.String("output", "", "write per-edge 'u v phi' lines here ('-' = stdout)")
 	summary := fs.Bool("summary", true, "print the decomposition summary")

@@ -46,7 +46,7 @@ func Serve(args []string, stdout, stderr io.Writer) error {
 	decompose := fs.Bool("decompose", true, "start decomposing preloaded datasets at startup")
 	algo := fs.String("algo", "bu++", "startup decomposition algorithm: bs, bu, bu+, bu++, bu++p, pc")
 	tau := fs.Float64("tau", 0, "BiT-PC threshold decrement fraction (0 = default)")
-	workers := fs.Int("workers", 0, "parallel workers for the startup decompositions and later incremental maintenance")
+	workers := fs.Int("workers", 0, "parallel workers for the startup decompositions (butterfly counting, BE-Index build, bu++p peeler), the community index and later incremental maintenance; counting, BE-Index build and maintenance run at most GOMAXPROCS goroutines (0 = serial counting and BE-Index build, GOMAXPROCS elsewhere)")
 	ranges := fs.Int("ranges", 0, "coarse support ranges of the bu++p peeler (0 = derived from -workers)")
 	mutlog := fs.Int("mutlog", 0, "applied mutation-batch records retained per dataset (0 = default 128)")
 	cacheOn := fs.Bool("cache", true, "serve hot queries from the per-snapshot response cache")

@@ -19,7 +19,7 @@ func runBS(g *bigraph.Graph, opt Options) (*Result, error) {
 	res := &Result{Phi: make([]int64, m)}
 
 	t0 := time.Now()
-	total, sup := countSupports(g, opt)
+	total, sup := butterfly.CountAndSupportsWorkers(g, opt.Workers)
 	res.Metrics.CountingTime = time.Since(t0)
 	res.Metrics.TotalButterflies = total
 	res.Metrics.KMax = butterfly.KMax(sup)
@@ -102,12 +102,4 @@ func runBS(g *bigraph.Graph, opt Options) (*Result, error) {
 	res.Metrics.PeelTime = time.Since(t1)
 	acct.fill(&res.Metrics)
 	return res, nil
-}
-
-// countSupports runs the counting process, optionally in parallel.
-func countSupports(g *bigraph.Graph, opt Options) (int64, []int64) {
-	if opt.Workers > 1 {
-		return butterfly.CountAndSupportsParallel(g, opt.Workers)
-	}
-	return butterfly.CountAndSupports(g)
 }

@@ -22,16 +22,11 @@ func runBU(g *bigraph.Graph, opt Options) (*Result, error) {
 
 	// The BE-Index construction computes the supports as a by-product,
 	// so the counting process of Algorithm 4 line 1 is fused into line 2
-	// at the same asymptotic cost. Options.Workers therefore routes to
-	// the parallel index build rather than a separate parallel counter.
+	// at the same asymptotic cost. Options.Workers therefore drives the
+	// index build rather than a separate counter.
 	t0 := time.Now()
 	opt.pm.setStage(StageIndex)
-	var ix *bloom.Index
-	if opt.Workers > 1 {
-		ix = bloom.BuildParallel(g, opt.Workers)
-	} else {
-		ix = bloom.Build(g)
-	}
+	ix := bloom.BuildCompressed(g, nil, opt.Workers)
 	res.Metrics.IndexTime = time.Since(t0)
 	res.Metrics.PeakIndexBytes = ix.SizeBytes()
 

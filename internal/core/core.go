@@ -102,11 +102,18 @@ type Options struct {
 	// *original* support is <= HistogramBounds[i] (ascending); one
 	// overflow bucket is appended.
 	HistogramBounds []int64
-	// Workers parallelises the decomposition (extension). For BiTBS and
-	// BiTPC it parallelises the counting phase when > 1; for the BE-Index
-	// algorithms it parallelises the index construction (which fuses the
-	// counting); for BiTBUPlusPlusParallel it additionally drives both
-	// peeling phases (<= 0 selects GOMAXPROCS there).
+	// Workers parallelises the decomposition (extension). Per stage:
+	//   - BiTBS and BiTPC: the initial butterfly counting runs on Workers
+	//     goroutines; BiTPC's per-iteration counting and compressed
+	//     index builds stay on one;
+	//   - BiTBU, BiTBU+ and BiTBU++: the BE-Index construction (which
+	//     fuses the counting) runs in Workers chunks; the peel is serial;
+	//   - BiTBUPlusPlusParallel: <= 0 selects GOMAXPROCS; the index is
+	//     built in Workers chunks and both peeling phases run on Workers
+	//     goroutines.
+	// Elsewhere <= 1 means one goroutine. The counting and the index
+	// build cap their fan-out at GOMAXPROCS, since each goroutine holds
+	// O(|E|) transient bytes; every worker count gives the same result.
 	Workers int
 	// Ranges is the number of coarse support ranges of the
 	// BiTBUPlusPlusParallel peeler; 0 picks a default derived from

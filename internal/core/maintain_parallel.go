@@ -336,7 +336,7 @@ func maintainPeelParallel(g *bigraph.Graph, closure, border []int32, frozen []bo
 			indexed++
 		}
 	}
-	cix := bloom.BuildCompressed(sub.G, subAssigned)
+	cix := bloom.BuildCompressed(sub.G, subAssigned, 1)
 	// Coarse mutates the index supports in place: keep the originals.
 	// The closure argument (file comment) makes these equal to the
 	// maintained sup2 on every indexed edge.

@@ -51,10 +51,10 @@ func runBUParallel(g *bigraph.Graph, opt Options) (*Result, error) {
 
 	// The BE-Index construction computes the supports as a by-product
 	// (as in runBU, the counting process is fused into the build, here
-	// the parallel one).
+	// run in workers chunks).
 	t0 := time.Now()
 	opt.pm.setStage(StageIndex)
-	ix := bloom.BuildParallel(g, workers)
+	ix := bloom.BuildCompressed(g, nil, workers)
 	res.Metrics.IndexTime = time.Since(t0)
 	fullBytes := ix.SizeBytes()
 	res.Metrics.PeakIndexBytes = fullBytes
@@ -447,7 +447,7 @@ func fineDecompose(g *bigraph.Graph, rangeOf []int32, bounds []int64, orig []int
 				for se := range subAssigned {
 					subAssigned[se] = rangeOf[parentOf(int32(se))] > int32(i)
 				}
-				cix := bloom.BuildCompressed(candG, subAssigned)
+				cix := bloom.BuildCompressed(candG, subAssigned, 1)
 				sz := cix.SizeBytes()
 				atomicMax(&peakBytes, atomic.AddInt64(&aliveBytes, sz))
 				q := newIndexedBucket(cix, subAssigned)

@@ -24,7 +24,7 @@ func runPC(g *bigraph.Graph, opt Options) (*Result, error) {
 	res := &Result{Phi: make([]int64, m)}
 
 	t0 := time.Now()
-	total, origSup := countSupports(g, opt)
+	total, origSup := butterfly.CountAndSupportsWorkers(g, opt.Workers)
 	res.Metrics.CountingTime = time.Since(t0)
 	res.Metrics.TotalButterflies = total
 	res.MaxSupport = maxOf(origSup)
@@ -86,7 +86,7 @@ func runPC(g *bigraph.Graph, opt Options) (*Result, error) {
 		for se, pe := range parent {
 			subAssigned[se] = assigned[pe]
 		}
-		ix := bloom.BuildCompressed(inner.G, subAssigned)
+		ix := bloom.BuildCompressed(inner.G, subAssigned, 1)
 		res.Metrics.IndexTime += time.Since(ti)
 		if sz := ix.SizeBytes(); sz > res.Metrics.PeakIndexBytes {
 			res.Metrics.PeakIndexBytes = sz
